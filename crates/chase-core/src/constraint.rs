@@ -455,8 +455,8 @@ pub struct ConstraintSet {
     items: Vec<Constraint>,
 }
 
-// Constraint sets are shared read-only across the parallel engine's matcher
-// threads, alongside `InstanceView` snapshots.
+// `chase-serve` shares each session's constraint set read-only with the
+// reader threads that answer queries from the published `Arc<Instance>`.
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<Constraint>();

@@ -66,10 +66,10 @@ pub fn stratified_order(set: &ConstraintSet, cfg: &PrecedenceConfig) -> Vec<Vec<
     chase_graph(set, cfg).graph.sccs_topological()
 }
 
-/// Phase metadata consumed by the stratum-scheduled executor
-/// (`chase_engine::chase_parallel`): which constraint groups to chase in
-/// which order, and whether that order carries Theorem 2's termination
-/// guarantee.
+/// A phase order for `chase_engine::Strategy::Phased` (run end to end by
+/// the umbrella crate's `chase::chase_phased`): which constraint groups to
+/// chase to completion in which order, and whether that order carries
+/// Theorem 2's termination guarantee.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSchedule {
     /// Constraint-index groups in execution order. For a stratified set these

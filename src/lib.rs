@@ -52,13 +52,11 @@ pub use chase_serve as serve;
 pub use chase_sqo as sqo;
 pub use chase_termination as termination;
 
-/// Run the stratum-scheduled parallel chase end to end: analyze `set` with
-/// [`chase_termination::phase_schedule`] (the Theorem 2 SCC order when the
-/// set is stratified, a single phase otherwise) and execute the phases with
-/// [`chase_engine::chase_parallel`] across `threads` threads.
-///
-/// The produced trace is bit-identical to the sequential engines under the
-/// same schedule; `threads = 1` runs without workers.
+/// Chase in Theorem 2's terminating order: analyze `set` with
+/// [`chase_termination::phase_schedule`] (the chase-graph SCCs in
+/// topological order when the set is stratified, a single phase otherwise)
+/// and run [`chase_engine::chase`] under [`chase_engine::Strategy::Phased`]
+/// with that schedule and the default budgets.
 ///
 /// # Examples
 ///
@@ -67,18 +65,20 @@ pub use chase_termination as termination;
 ///
 /// let sigma = ConstraintSet::parse("S(X) -> T(X)\nT(X) -> U(X,Y)").unwrap();
 /// let inst = Instance::parse("S(a). S(b).").unwrap();
-/// let res = chase::chase_parallel_auto(&inst, &sigma, 2);
+/// let res = chase::chase_phased(&inst, &sigma);
 /// assert!(res.terminated());
 /// ```
-pub fn chase_parallel_auto(
+pub fn chase_phased(
     instance: &chase_core::Instance,
     set: &chase_core::ConstraintSet,
-    threads: usize,
 ) -> chase_engine::ChaseResult {
     let schedule =
         chase_termination::phase_schedule(set, &chase_termination::PrecedenceConfig::default());
-    let cfg = chase_engine::ParallelConfig::with_threads(threads);
-    chase_engine::chase_parallel(instance, set, &schedule.phases, &cfg)
+    let cfg = chase_engine::ChaseConfig {
+        strategy: chase_engine::Strategy::Phased(schedule.phases),
+        ..chase_engine::ChaseConfig::default()
+    };
+    chase_engine::chase(instance, set, &cfg)
 }
 
 /// Everything most callers need, in one import.
@@ -88,10 +88,9 @@ pub mod prelude {
         Position, Schema, Subst, Sym, Term, Tgd,
     };
     pub use chase_engine::{
-        chase, chase_default, chase_parallel, chase_resume, core_chase, core_of,
-        find_terminating_sequence, is_core, BfsOutcome, ChaseConfig, ChaseMode, ChaseResult,
-        CoreChaseResult, EngineState, Matcher, MonitorGraph, ParallelConfig, ResumeOutcome,
-        StopReason, Strategy,
+        chase, chase_default, chase_resume, core_chase, core_of, find_terminating_sequence,
+        is_core, BfsOutcome, ChaseConfig, ChaseMode, ChaseResult, CoreChaseResult, EngineState,
+        Matcher, MonitorGraph, ResumeOutcome, StopReason, Strategy,
     };
     pub use chase_obs::{Histogram, MetricsRegistry, Phase, Recorder};
     pub use chase_plan::JoinProgram;
