@@ -43,6 +43,15 @@
 //! benches instead of any single bench's delta (a lone micro bench's min
 //! still swings more than any real hot-path effect; the sum is stable to a
 //! couple of percent).
+//!
+//! # Host fingerprint
+//!
+//! Every summary records the host it was measured on as
+//! `"host": {"nproc": <logical CPUs>, "cpu": "<model name>"}`. Medians from
+//! different machines differ by more than any threshold worth gating on,
+//! so `--compare` prints a `cross-host` warning line whenever the
+//! baseline's fingerprint differs from this host's, or the baseline
+//! predates fingerprints and has none.
 
 use std::io::Read;
 
@@ -138,10 +147,63 @@ fn parse_exposition(input: &str) -> Vec<(String, i128)> {
     dedup
 }
 
-/// A parsed `BENCH_<sha>.json` baseline: the `quick` flag and each result's
+/// The machine a sweep ran on: logical CPU count and CPU model name.
+#[derive(Debug, Clone, PartialEq)]
+struct Host {
+    nproc: usize,
+    cpu: String,
+}
+
+impl Host {
+    /// This machine: `available_parallelism` and the first `model name` of
+    /// `/proc/cpuinfo` (`unknown` where that file does not exist).
+    fn current() -> Host {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, name)| name.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        Host {
+            nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
+            cpu,
+        }
+    }
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"nproc\": {}, \"cpu\": \"{}\"}}",
+            self.nproc,
+            json_escape(&self.cpu)
+        )
+    }
+}
+
+/// The `cross-host` warning for comparing a sweep on `current` against a
+/// baseline recorded on `baseline` (`None`: the baseline has no
+/// fingerprint), or `None` when both ran on the same kind of host.
+fn cross_host_warning(baseline: Option<&Host>, current: &Host) -> Option<String> {
+    let what = match baseline {
+        Some(b) if b == current => return None,
+        Some(b) => format!("baseline ran on {}", b.to_json()),
+        None => "baseline has no host fingerprint".to_string(),
+    };
+    Some(format!(
+        "bench2json: cross-host comparison: {what}, this sweep on {}; \
+         deltas may reflect the host, not the code",
+        current.to_json()
+    ))
+}
+
+/// A parsed `BENCH_<sha>.json` baseline: the `quick` flag, the host
+/// fingerprint (absent in points that predate it) and each result's
 /// `(label, median_ns)`.
 struct Baseline {
     quick: Option<bool>,
+    host: Option<Host>,
     results: Vec<(String, f64)>,
 }
 
@@ -180,8 +242,15 @@ fn json_num_field(line: &str, key: &str) -> Option<f64> {
 /// dependency is needed.
 fn parse_baseline(text: &str) -> Baseline {
     let mut quick = None;
+    let mut host = None;
     let mut results = Vec::new();
     for line in text.lines() {
+        if line.trim().starts_with("\"host\": ") {
+            host = Some(Host {
+                nproc: json_num_field(line, "nproc").map_or(0, |n| n as usize),
+                cpu: json_str_field(line, "cpu").unwrap_or_default(),
+            });
+        }
         if let Some(rest) = line.trim().strip_prefix("\"quick\": ") {
             quick = match rest.trim_end_matches(',') {
                 "true" => Some(true),
@@ -196,7 +265,11 @@ fn parse_baseline(text: &str) -> Baseline {
             results.push((label, median));
         }
     }
-    Baseline { quick, results }
+    Baseline {
+        quick,
+        host,
+        results,
+    }
 }
 
 /// A failing regression: `(label, old_ns, new_ns, delta_percent)`.
@@ -338,6 +411,7 @@ fn main() {
     }
 
     let quick = chase_bench::quick();
+    let host = Host::current();
     if let Some(path) = &baseline_path {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("bench2json: cannot read baseline {path}: {e}");
@@ -358,6 +432,9 @@ fn main() {
             }
         }
         eprintln!("bench2json: comparing against {path} (threshold {threshold}%)");
+        if let Some(warning) = cross_host_warning(baseline.host.as_ref(), &host) {
+            eprintln!("{warning}");
+        }
         let (regressions, old_sum, new_sum) = compare(&baseline, &results, threshold);
         if aggregate {
             // Gate on the summed time over the matched benches instead of
@@ -397,6 +474,7 @@ fn main() {
     println!("{{");
     println!("  \"sha\": \"{}\",", json_escape(&sha));
     println!("  \"quick\": {quick},");
+    println!("  \"host\": {},", host.to_json());
     println!("  \"results\": [");
     for (i, m) in results.iter().enumerate() {
         let segments: Vec<&str> = m.label.split('/').collect();
@@ -529,6 +607,46 @@ chase_sessions_open 99\n";
         assert_eq!(b.results.len(), 3);
         assert_eq!(b.results[0], ("g/w/e".to_string(), 1000.0));
         assert_eq!(b.results[1].1, 2000.0);
+    }
+
+    #[test]
+    fn parses_the_host_fingerprint() {
+        assert_eq!(
+            parse_baseline(BASELINE).host,
+            None,
+            "older points have none"
+        );
+        let host = Host {
+            nproc: 2,
+            cpu: "AMD EPYC \"7B13\" 64-Core".into(),
+        };
+        let point = BASELINE.replace(
+            "  \"quick\": true,\n",
+            &format!("  \"quick\": true,\n  \"host\": {},\n", host.to_json()),
+        );
+        let b = parse_baseline(&point);
+        assert_eq!(b.host, Some(host));
+        assert_eq!(b.quick, Some(true));
+        assert_eq!(b.results.len(), 3);
+    }
+
+    #[test]
+    fn warns_on_cross_host_comparisons() {
+        let here = Host {
+            nproc: 2,
+            cpu: "Xeon".into(),
+        };
+        assert_eq!(cross_host_warning(Some(&here.clone()), &here), None);
+        let other = Host {
+            nproc: 4,
+            ..here.clone()
+        };
+        let warning = cross_host_warning(Some(&other), &here).unwrap();
+        assert!(warning.contains("cross-host"), "{warning}");
+        assert!(warning.contains("\"nproc\": 4"), "{warning}");
+        let missing = cross_host_warning(None, &here).unwrap();
+        assert!(missing.contains("cross-host"), "{missing}");
+        assert!(missing.contains("no host fingerprint"), "{missing}");
     }
 
     #[test]

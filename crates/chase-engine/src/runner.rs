@@ -27,9 +27,15 @@
 //!   body slot and the rest of the body is completed through the
 //!   index-driven homomorphism searcher
 //!   ([`crate::trigger::for_each_delta_match`]);
-//! * only pooled triggers of constraints whose *TGD head* predicates
-//!   intersect the delta are re-validated (new atoms are the only way a
-//!   violated TGD trigger can become satisfied);
+//! * head revalidation is the mirror image, on the head side: a violated
+//!   TGD trigger becomes satisfied only through a new head match that maps
+//!   some head atom onto a new atom, and whether a head match satisfies a
+//!   trigger depends only on the trigger's *frontier* bindings. The pool
+//!   therefore indexes each TGD's triggers by their frontier projection and,
+//!   per head slot, by the frontier variables of that slot's atom. Each new
+//!   atom looks up its slot bucket, enumerates the head matches it seeds,
+//!   and probes the frontier index with them — falling back to checking the
+//!   bucket's triggers one by one once the matches outnumber the bucket;
 //! * triggers found satisfied are memoized in a dead-set so the standard
 //!   chase's "not already satisfied" check never runs twice for the same
 //!   `(constraint, assignment)` pair.
@@ -56,11 +62,10 @@
 //! This replaces the seed engine's per-step full re-enumeration — a
 //! backtracking search over the whole instance for every constraint on every
 //! step, the quadratic blow-up *Stop the Chase* (Meier et al., 2009) calls
-//! out — with work driven by each step's delta. (Not strictly O(delta):
-//! when a delta predicate appears in a constraint's head, revalidation
-//! scans that constraint's pooled triggers, paying a cheap per-trigger
-//! unification pre-filter and a seeded extension search only on unifying
-//! pairs.) The old behaviour is
+//! out — with work driven by each step's delta: body re-matching and head
+//! revalidation both cost per delta atom, never per pooled trigger (EGD
+//! merge repair still scans the pool for keys mentioning the merged term,
+//! and `Strategy::Random` walks it to the drawn index). The old behaviour is
 //! retained as [`chase_naive`] so tests and benches can compare the two
 //! engines trigger for trigger: both select the canonically least trigger
 //! (smallest constraint index, then smallest normalized assignment), so
@@ -75,6 +80,7 @@ use chase_core::{Atom, Constraint, ConstraintSet, Instance, MergeEffect, Sym, Te
 use chase_obs::{EventKind, Phase, PhaseTimer, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -262,30 +268,188 @@ impl fmt::Display for ChaseResult {
 /// constraint's universal variables (see [`normalize`]).
 type TriggerKey = Vec<(Sym, Term)>;
 
-/// The currently fireable triggers, one ordered map per constraint.
+/// A trigger key projected onto some of its variables: their bound terms,
+/// in the projection's variable order.
+type Projection = Vec<Term>;
+
+/// One hash index over a TGD's pooled keys: projection → the keys with it.
+#[derive(Clone)]
+struct KeyIndex {
+    /// The projection's variables, looked up in each normalized key (keys
+    /// hold a handful of bindings, so a scan beats precomputing positions,
+    /// which would need the name-sorted key layout).
+    vars: Vec<Sym>,
+    buckets: FxHashMap<Projection, FxHashSet<TriggerKey>>,
+}
+
+impl KeyIndex {
+    /// Write `key`'s projection into `out` (a reused probe buffer).
+    fn project(&self, key: &TriggerKey, out: &mut Projection) {
+        out.clear();
+        out.extend(self.vars.iter().map(|&v| {
+            key.iter()
+                .find(|&&(u, _)| u == v)
+                .expect("a trigger key binds every universal")
+                .1
+        }));
+    }
+}
+
+/// The head-side indexes over one TGD's pooled triggers. A trigger's head
+/// satisfaction depends only on its *frontier* bindings, so:
+///
+/// * the **frontier index** (`indexes[0]`) groups keys by their frontier
+///   projection — the probe for "which triggers does this head match
+///   satisfy?";
+/// * each head slot `j` has a **slot index** over the frontier variables
+///   occurring in head atom `j` — the only triggers a fact placed at slot
+///   `j` can help satisfy. Slots whose variable list equals the frontier's
+///   (or an earlier slot's) share that index.
+///
+/// EGDs have no head and get an empty `HeadIndex`.
+#[derive(Clone, Default)]
+struct HeadIndex {
+    /// Distinct projections; `indexes[0]` is the frontier index (over the
+    /// frontier in `Tgd::frontier` order).
+    indexes: Vec<KeyIndex>,
+    /// Per head slot: the index it reads, and the positions of head atom
+    /// `j` carrying that index's variables (first occurrence each).
+    slots: Vec<(usize, Vec<usize>)>,
+    /// Scratch buffer for projecting keys on insert and remove.
+    probe: Projection,
+}
+
+impl HeadIndex {
+    fn new(c: &Constraint) -> HeadIndex {
+        let Constraint::Tgd(t) = c else {
+            return HeadIndex::default();
+        };
+        let frontier = t.frontier();
+        let mut var_lists: Vec<Vec<Sym>> = vec![frontier.to_vec()];
+        let mut slots = Vec::with_capacity(t.head().len());
+        for h in t.head() {
+            let first = |v: Sym| h.terms().iter().position(|&x| x == Term::Var(v));
+            let vars: Vec<Sym> = frontier
+                .iter()
+                .copied()
+                .filter(|&v| first(v).is_some())
+                .collect();
+            let atom_pos = vars.iter().filter_map(|&v| first(v)).collect();
+            let ix = var_lists
+                .iter()
+                .position(|l| *l == vars)
+                .unwrap_or_else(|| {
+                    var_lists.push(vars);
+                    var_lists.len() - 1
+                });
+            slots.push((ix, atom_pos));
+        }
+        let indexes = var_lists
+            .into_iter()
+            .map(|vars| KeyIndex {
+                vars,
+                buckets: FxHashMap::default(),
+            })
+            .collect();
+        HeadIndex {
+            indexes,
+            slots,
+            probe: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, key: &TriggerKey) {
+        for ix in &mut self.indexes {
+            ix.project(key, &mut self.probe);
+            match ix.buckets.get_mut(self.probe.as_slice()) {
+                Some(bucket) => {
+                    bucket.insert(key.clone());
+                }
+                None => {
+                    let bucket = FxHashSet::from_iter([key.clone()]);
+                    ix.buckets.insert(self.probe.clone(), bucket);
+                }
+            }
+        }
+    }
+
+    fn remove(&mut self, key: &TriggerKey) {
+        for ix in &mut self.indexes {
+            ix.project(key, &mut self.probe);
+            let p = self.probe.as_slice();
+            let bucket = ix.buckets.get_mut(p).expect("pooled key is indexed");
+            bucket.remove(key);
+            if bucket.is_empty() {
+                ix.buckets.remove(p);
+            }
+        }
+    }
+
+    /// The pooled keys that fact `a`, placed at head slot `j`, could help
+    /// satisfy: those whose slot-`j` frontier bindings equal `a`'s terms.
+    fn slot_bucket(
+        &self,
+        j: usize,
+        a: &Atom,
+        probe: &mut Projection,
+    ) -> Option<&FxHashSet<TriggerKey>> {
+        let (ix, atom_pos) = &self.slots[j];
+        probe.clear();
+        probe.extend(atom_pos.iter().map(|&i| a.terms()[i]));
+        self.indexes[*ix].buckets.get(probe.as_slice())
+    }
+
+    /// The pooled keys whose frontier bindings are `h`'s — every one of
+    /// them is satisfied by the head match `h`.
+    fn frontier_bucket(&self, h: &Subst, probe: &mut Projection) -> Option<&FxHashSet<TriggerKey>> {
+        probe.clear();
+        probe.extend(
+            self.indexes[0]
+                .vars
+                .iter()
+                .map(|&v| h.var(v).expect("a head match binds the frontier")),
+        );
+        self.indexes[0].buckets.get(probe.as_slice())
+    }
+}
+
+/// The currently fireable triggers, one ordered map per constraint, plus a
+/// [`HeadIndex`] per constraint for delta-driven head revalidation.
 ///
 /// `BTreeMap` gives the canonical within-constraint order (assignments
 /// compare by interned symbol id, then term) that both engines use for
 /// selection, and `pop_first` hands the fired trigger out by value — no
-/// `Subst` clone on the hot path.
+/// `Subst` clone on the hot path. Every mutation goes through `insert`,
+/// `remove`, `pop_first` or `take_nth`, which keep the indexes in step.
 #[derive(Default, Clone)]
 struct TriggerPool {
     pools: Vec<BTreeMap<TriggerKey, Subst>>,
+    heads: Vec<HeadIndex>,
     total: usize,
 }
 
 impl TriggerPool {
-    fn new(constraints: usize) -> TriggerPool {
+    fn new(set: &ConstraintSet) -> TriggerPool {
         TriggerPool {
-            pools: (0..constraints).map(|_| BTreeMap::new()).collect(),
+            pools: (0..set.len()).map(|_| BTreeMap::new()).collect(),
+            heads: set.iter().map(HeadIndex::new).collect(),
             total: 0,
         }
     }
 
     fn insert(&mut self, ci: usize, key: TriggerKey, mu: Subst) -> bool {
-        let new = self.pools[ci].insert(key, mu).is_none();
-        self.total += usize::from(new);
-        new
+        match self.pools[ci].entry(key) {
+            Entry::Vacant(slot) => {
+                self.heads[ci].insert(slot.key());
+                self.total += 1;
+                slot.insert(mu);
+                true
+            }
+            Entry::Occupied(mut slot) => {
+                slot.insert(mu);
+                false
+            }
+        }
     }
 
     fn contains(&self, ci: usize, key: &TriggerKey) -> bool {
@@ -294,29 +458,130 @@ impl TriggerPool {
 
     fn remove(&mut self, ci: usize, key: &TriggerKey) -> Option<Subst> {
         let removed = self.pools[ci].remove(key);
-        self.total -= usize::from(removed.is_some());
+        if removed.is_some() {
+            self.heads[ci].remove(key);
+            self.total -= 1;
+        }
         removed
     }
 
     fn pop_first(&mut self, ci: usize) -> Option<(TriggerKey, Subst)> {
         let popped = self.pools[ci].pop_first();
-        self.total -= usize::from(popped.is_some());
+        if let Some((key, _)) = &popped {
+            self.heads[ci].remove(key);
+            self.total -= 1;
+        }
         popped
     }
 
     /// Remove and return the `n`-th trigger in global canonical order
     /// (constraint index, then assignment).
     fn take_nth(&mut self, mut n: usize) -> Option<(usize, TriggerKey, Subst)> {
-        for (ci, pool) in self.pools.iter_mut().enumerate() {
-            if n < pool.len() {
-                let key = pool.keys().nth(n).expect("index in range").clone();
-                let mu = pool.remove(&key).expect("key just read");
-                self.total -= 1;
+        for ci in 0..self.pools.len() {
+            let len = self.pools[ci].len();
+            if n < len {
+                let key = self.pools[ci]
+                    .keys()
+                    .nth(n)
+                    .expect("index in range")
+                    .clone();
+                let mu = self.remove(ci, &key).expect("key just read");
                 return Some((ci, key, mu));
             }
-            n -= pool.len();
+            n -= len;
         }
         None
+    }
+
+    /// The pooled triggers of TGD `ci` that the facts `added` (already in
+    /// `inst`) newly satisfied — each key once or more; the caller dedups.
+    ///
+    /// A new head match maps some slot `j` onto some added fact `a`, and
+    /// can only satisfy triggers in `a`'s slot-`j` bucket. For each such
+    /// `(j, a)` with a non-empty bucket, the head matches seeded by `a`
+    /// alone are enumerated and their frontier bindings probe the frontier
+    /// index: every hit is newly satisfied, exactly. The enumeration stops
+    /// once it yields more matches than the bucket holds (a head like
+    /// `hasAirport(C1), hasAirport(C2)` would otherwise scan a cross
+    /// product); the bucket's triggers are then checked one by one
+    /// instead. Either way the cost is min(bucket, head matches) per
+    /// `(j, a)`, not the size of the pool. (`matcher` and `inst` are
+    /// mutable only so the head-delta programs can compile on first use.)
+    fn newly_satisfied(
+        &self,
+        ci: usize,
+        head: &[Atom],
+        rests: &[Vec<Atom>],
+        matcher: &mut Matcher,
+        inst: &mut Instance,
+        added: &[Atom],
+    ) -> Vec<TriggerKey> {
+        let index = &self.heads[ci];
+        let mut hits: Vec<TriggerKey> = Vec::new();
+        let mut probe = Projection::new();
+        for a in added {
+            for (j, h) in head.iter().enumerate() {
+                if h.pred() != a.pred() {
+                    continue;
+                }
+                let Some(bucket) = index.slot_bucket(j, a, &mut probe) else {
+                    continue;
+                };
+                matcher.prepare_head_delta(ci, head, inst);
+                let (matcher, inst) = (&*matcher, &*inst);
+                let mut seen = 0usize;
+                let overflow =
+                    matcher.for_each_head_delta_match(ci, head, rests, j, inst, a, &mut |m| {
+                        if seen == bucket.len() {
+                            return true;
+                        }
+                        seen += 1;
+                        if let Some(sat) = index.frontier_bucket(m, &mut probe) {
+                            hits.extend(sat.iter().cloned());
+                        }
+                        false
+                    });
+                if overflow {
+                    hits.extend(
+                        bucket
+                            .iter()
+                            .filter(|key| {
+                                let mu = &self.pools[ci][*key];
+                                matcher.head_satisfied_via(ci, head, rests, j, inst, a, mu)
+                            })
+                            .cloned(),
+                    );
+                }
+            }
+        }
+        hits
+    }
+
+    /// Check the indexes against the pool: every pooled key sits in exactly
+    /// its own bucket of every index, no bucket holds a stale key or is
+    /// empty, and `total` counts the pool.
+    #[cfg(test)]
+    fn assert_consistent(&self) {
+        let total: usize = self.pools.iter().map(BTreeMap::len).sum();
+        assert_eq!(self.total, total, "total counts the pool");
+        for (ci, (pool, head)) in self.pools.iter().zip(&self.heads).enumerate() {
+            for (i, ix) in head.indexes.iter().enumerate() {
+                let indexed: usize = ix.buckets.values().map(FxHashSet::len).sum();
+                assert_eq!(indexed, pool.len(), "constraint {ci}, index {i}: size");
+                let mut probe = Projection::new();
+                for (p, bucket) in &ix.buckets {
+                    assert!(
+                        !bucket.is_empty(),
+                        "constraint {ci}, index {i}: empty bucket"
+                    );
+                    for key in bucket {
+                        assert!(pool.contains_key(key), "constraint {ci}: stale {key:?}");
+                        ix.project(key, &mut probe);
+                        assert_eq!(&probe, p, "constraint {ci}: misfiled {key:?}");
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -367,6 +632,10 @@ pub struct EngineState {
     body_preds: Vec<FxHashSet<Sym>>,
     /// Per-constraint TGD head predicates, for revalidation dispatch.
     head_preds: Vec<FxHashSet<Sym>>,
+    /// Per-constraint head rests (`[j]` = the TGD head without atom `j`),
+    /// computed once for the unplanned matching paths; empty for EGDs and
+    /// when the planner is on (its compiled programs replace them).
+    head_rests: Vec<Vec<Vec<Atom>>>,
     /// The matching engine every trigger query goes through: compiled
     /// `chase-plan` join programs (planner on) or the classic searcher
     /// (planner off). Refreshed when the instance's statistics epoch
@@ -418,6 +687,13 @@ impl EngineState {
                 Constraint::Egd(_) => FxHashSet::default(),
             })
             .collect();
+        let rests = set
+            .iter()
+            .map(|c| match c.as_tgd() {
+                Some(t) if !cfg.use_planner => head_rests(t.head()),
+                _ => Vec::new(),
+            })
+            .collect();
         let mut inst = instance.clone();
         let recorder = chase_obs::global().clone();
         let matcher = if cfg.use_planner {
@@ -432,9 +708,10 @@ impl EngineState {
             monitor,
             fired: vec![FxHashSet::default(); set.len()],
             dead: vec![FxHashSet::default(); set.len()],
-            pool: TriggerPool::new(set.len()),
+            pool: TriggerPool::new(set),
             body_preds,
             head_preds,
+            head_rests: rests,
             matcher,
             merge_rewritten: 0,
             merge_collapsed: 0,
@@ -559,7 +836,9 @@ impl EngineState {
             // the first run's full enumeration will see the batch.
             self.matcher.refresh(set, &mut self.inst);
             if self.pool_built {
-                Run::new(set, cfg, self, false).apply_delta(&added);
+                let mut run = Run::new(set, cfg, self, false);
+                let sampled = run.step_sampled();
+                run.apply_delta(&added, sampled);
             }
         }
         Ok(added)
@@ -631,10 +910,13 @@ fn remap_key_set(memo: &mut FxHashSet<TriggerKey>, from: Term, to: Term) {
 /// (the CI overhead gate caps the recording-on vs -off median delta on
 /// `ex4_strategies` at 5%); instead, one step in 64 records the full
 /// decomposition and the rest skip even the clock reads. The gate is keyed
-/// on the deterministic step counter, so sampling is write-only and
+/// on the deterministic step counter, read once per step *before* the
+/// counter moves, and that one decision arms all four sites — so steps 0,
+/// 64, 128, … record one sample in each phase. Sampling is write-only and
 /// reproducible — it can never perturb trigger selection — and step 0
 /// always samples, so even a two-fact session surfaces nonzero phase
-/// percentiles. The rare, heavy sites ([`Phase::MergeRepair`],
+/// percentiles. An `insert_batch` delta samples on the same grid, keyed
+/// on the step counter at ingest time. The rare, heavy sites ([`Phase::MergeRepair`],
 /// [`Phase::PoolMaintain`], [`Phase::PlanCompile`] and all other events)
 /// record every occurrence.
 const OBS_SAMPLE_MASK: u64 = 63;
@@ -702,11 +984,11 @@ impl<'a> Run<'a> {
         self.st.steps as u64 & OBS_SAMPLE_MASK == 0
     }
 
-    /// A [`Recorder::phase`] timer when this step is sampled, a disarmed
+    /// A [`Recorder::phase`] timer when the step is `sampled`, a disarmed
     /// guard (no clock read, nothing recorded) otherwise.
     #[inline]
-    fn sampled_phase(&self, phase: Phase) -> PhaseTimer {
-        if self.step_sampled() {
+    fn sampled_phase(&self, sampled: bool, phase: Phase) -> PhaseTimer {
+        if sampled {
             self.st.recorder.phase(phase)
         } else {
             PhaseTimer::disarmed()
@@ -754,51 +1036,49 @@ impl<'a> Run<'a> {
     }
 
     /// Incremental pool update after a TGD step added `added` to the
-    /// instance.
-    fn apply_delta(&mut self, added: &[Atom]) {
+    /// instance. `sampled` is the step's [`OBS_SAMPLE_MASK`] decision, taken
+    /// by the caller before the step counter moved.
+    fn apply_delta(&mut self, added: &[Atom], sampled: bool) {
         if added.is_empty() {
             return;
         }
         let delta_preds: FxHashSet<Sym> = added.iter().map(|a| a.pred()).collect();
         // Revalidate pooled triggers that the new atoms may have satisfied:
         // a violated TGD trigger becomes satisfied only when an atom with one
-        // of its head predicates appears. (Oblivious triggers and EGD
+        // of its head predicates appears, and only triggers whose frontier
+        // bindings fit a head match through the new atom
+        // ([`TriggerPool::newly_satisfied`]). (Oblivious triggers and EGD
         // triggers never die from added atoms.)
         if self.cfg.mode == ChaseMode::Standard {
-            let _t = self.sampled_phase(Phase::HeadRevalidate);
-            for ci in 0..self.set.len() {
-                if self.st.head_preds[ci].is_disjoint(&delta_preds) {
+            let _t = self.sampled_phase(sampled, Phase::HeadRevalidate);
+            let EngineState {
+                inst,
+                dead,
+                pool,
+                matcher,
+                head_preds,
+                head_rests,
+                ..
+            } = &mut *self.st;
+            for (ci, c) in self.set.enumerate() {
+                if head_preds[ci].is_disjoint(&delta_preds) {
                     continue;
                 }
-                let Constraint::Tgd(t) = &self.set[ci] else {
+                let Constraint::Tgd(t) = c else {
                     continue;
                 };
-                let head = t.head();
-                // Per-slot head rests feed only the unplanned revalidation
-                // path; the planned matcher has its own compiled head-rest
-                // programs, so skip the atom clones when the planner is on.
-                let rests = if self.st.matcher.is_planned() {
-                    Vec::new()
-                } else {
-                    head_rests(head)
-                };
-                let (matcher, inst) = (&self.st.matcher, &self.st.inst);
-                let now_dead: Vec<TriggerKey> = self.st.pool.pools[ci]
-                    .iter()
-                    .filter(|(_, mu)| {
-                        matcher.head_newly_satisfied(ci, head, &rests, inst, added, mu)
-                    })
-                    .map(|(key, _)| key.clone())
-                    .collect();
+                let now_dead =
+                    pool.newly_satisfied(ci, t.head(), &head_rests[ci], matcher, inst, added);
                 for key in now_dead {
-                    self.st.pool.remove(ci, &key);
-                    self.st.dead[ci].insert(key);
+                    if pool.remove(ci, &key).is_some() {
+                        dead[ci].insert(key);
+                    }
                 }
             }
         }
         // Re-match constraints whose body can see the delta, seeded from the
         // new atoms.
-        let _t = self.sampled_phase(Phase::DeltaMatch);
+        let _t = self.sampled_phase(sampled, Phase::DeltaMatch);
         // Split borrows: the matcher reads `inst` and the memos while
         // `found` collects, then the pool and dead-set take the results.
         let Run { set, cfg, st, .. } = self;
@@ -873,7 +1153,7 @@ impl<'a> Run<'a> {
     /// stale pool entry. And any body match new after the merge embeds at
     /// least one row content that is new to the store — a subset of the
     /// rewritten rows — so delta seeding discovers it.
-    fn apply_merge_delta(&mut self, m: &MergeEffect) {
+    fn apply_merge_delta(&mut self, m: &MergeEffect, sampled: bool) {
         let repair = self.st.recorder.phase(Phase::MergeRepair);
         for ci in 0..self.set.len() {
             remap_key_set(&mut self.st.dead[ci], m.from, m.to);
@@ -920,7 +1200,7 @@ impl<'a> Run<'a> {
         // The delta re-match below times itself; close the repair phase
         // first so the two don't double-count.
         drop(repair);
-        self.apply_delta(&added);
+        self.apply_delta(&added, sampled);
     }
 
     /// Next fireable trigger for constraint `ci` under the naive reference:
@@ -979,14 +1259,10 @@ impl<'a> Run<'a> {
         }
         let ground_body: Vec<Atom> = mu.apply_atoms(c.body());
         // One sampling decision covers the whole step: taken before the
-        // counter moves, so the insert timer and the StepFired event
-        // describe the same (sampled) step.
+        // counter moves, so the insert timer, the StepFired event and the
+        // delta maintenance's timers all describe the same (sampled) step.
         let sampled = self.step_sampled();
-        let insert = if sampled {
-            self.st.recorder.phase(Phase::Insert)
-        } else {
-            PhaseTimer::disarmed()
-        };
+        let insert = self.sampled_phase(sampled, Phase::Insert);
         let effect = apply_step(&mut self.st.inst, c, &mu);
         drop(insert);
         self.st.steps += 1;
@@ -1010,7 +1286,7 @@ impl<'a> Run<'a> {
                         // instantiation from now on.
                         self.st.dead[ci].insert(key.clone());
                     }
-                    self.apply_delta(&added);
+                    self.apply_delta(&added, sampled);
                 }
                 (added, fresh_nulls, None, (0, 0))
             }
@@ -1034,7 +1310,7 @@ impl<'a> Run<'a> {
                         }
                     }
                     if !self.naive {
-                        self.apply_merge_delta(&m);
+                        self.apply_merge_delta(&m, sampled);
                     }
                 }
                 self.st.merge_rewritten += m.rewritten.len();
@@ -1048,6 +1324,8 @@ impl<'a> Run<'a> {
             }
             StepEffect::NoOp => (Vec::new(), Vec::new(), None, (0, 0)),
         };
+        #[cfg(test)]
+        self.st.pool.assert_consistent();
         self.st.fresh_nulls += fresh.len();
         if let Some(monitor) = &mut self.st.monitor {
             if !fresh.is_empty() {
@@ -1691,6 +1969,78 @@ mod tests {
         let b = chase_resume(&mut fork, &set, &cfg);
         assert_eq!(a.steps, b.steps);
         assert_eq!(st.instance(), fork.instance());
+    }
+
+    /// Steps 0, 64, 128, … sample; one decision per step arms the insert
+    /// timer and both delta-maintenance timers together.
+    #[test]
+    fn per_step_phases_sample_the_same_steps() {
+        let set = ConstraintSet::parse("E(X,Y) -> T(X,Y)").unwrap();
+        let cfg = ChaseConfig::default();
+        for (facts, samples) in [(1, 1), (2, 1), (64, 1), (65, 2)] {
+            let text: String = (0..facts).map(|i| format!("E(a{i},b). ")).collect();
+            let inst = Instance::parse(&text).unwrap();
+            let mut st = EngineState::new(&inst, &set, &cfg);
+            st.set_recorder(Recorder::enabled(16));
+            let out = chase_resume(&mut st, &set, &cfg);
+            assert_eq!(out.steps, facts);
+            for phase in [Phase::Insert, Phase::HeadRevalidate, Phase::DeltaMatch] {
+                assert_eq!(
+                    st.recorder().phase_snapshot(phase).count(),
+                    samples,
+                    "{phase:?} after a {facts}-step chase"
+                );
+            }
+        }
+    }
+
+    /// The pool's head indexes stay consistent through every kind of pool
+    /// mutation. `Run::fire` checks them after every step in test builds;
+    /// this drives each mutation path and checks the seams between runs.
+    #[test]
+    fn pool_indexes_stay_consistent() {
+        let tgds = "S(X) -> E(X,Y), T(Y)\nE(X,Y), E(Y,Z) -> P(X,Z)\n\
+                    P(X,Z) -> R(Z,W), Q(W,X)\nA(X) -> K(Z), U(Z,X)";
+        let egds = "E(X,Y), E(X,Z) -> Y = Z\nS(X) -> E(X,Y)\nE(X,Y) -> F(Y,X)";
+        let base = "S(a). S(b). E(a,b). E(b,_n0). E(b,c). A(a). A(c). K(_n1). U(_n1,a).";
+        for sigma in [tgds, egds] {
+            let (set, inst) = parse(sigma, base);
+            let strategies = [
+                Strategy::RoundRobin,
+                Strategy::Random { seed: 7 },
+                Strategy::FixedCycle((0..set.len()).rev().collect()),
+            ];
+            for mode in [ChaseMode::Standard, ChaseMode::Oblivious] {
+                for strategy in &strategies {
+                    let cfg = ChaseConfig {
+                        mode,
+                        strategy: strategy.clone(),
+                        max_steps: Some(200),
+                        ..ChaseConfig::default()
+                    };
+                    let mut st = EngineState::new(&inst, &set, &cfg);
+                    chase_resume(&mut st, &set, &cfg);
+                    st.pool.assert_consistent();
+                    if st.poisoned().is_some() {
+                        continue;
+                    }
+                    let mut fork = st.clone();
+                    let batch = Instance::parse("S(c). E(c,d). E(d,a). A(d).")
+                        .unwrap()
+                        .atoms();
+                    st.insert_batch(&set, &cfg, batch.clone()).unwrap();
+                    st.pool.assert_consistent();
+                    let a = chase_resume(&mut st, &set, &cfg);
+                    st.pool.assert_consistent();
+                    fork.insert_batch(&set, &cfg, batch).unwrap();
+                    fork.pool.assert_consistent();
+                    let b = chase_resume(&mut fork, &set, &cfg);
+                    fork.pool.assert_consistent();
+                    assert_eq!(a.steps, b.steps);
+                    assert_eq!(st.instance(), fork.instance());
+                }
+            }
+        }
     }
 
     #[test]

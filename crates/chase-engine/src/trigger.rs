@@ -118,8 +118,8 @@ pub fn for_each_delta_match(
 }
 
 /// Per-slot "rest of the head": `rests[j]` is the head with atom `j`
-/// removed. Precomputed once per revalidation pass and shared (read-only)
-/// across revalidation workers.
+/// removed. The engine computes them once per constraint, for the
+/// unplanned matching paths.
 pub fn head_rests(head: &[Atom]) -> Vec<Vec<Atom>> {
     (0..head.len())
         .map(|j| {

@@ -9,8 +9,17 @@
 //!   semi-naive re-matching path),
 //! * the **head** program for TGDs (the `exists_extension` activity check,
 //!   universal variables seeded),
-//! * one **head-rest** program per head slot (delta-seeded revalidation:
-//!   the slot's atom unified with a delta fact, the rest completed).
+//! * one **head-rest** program per head slot (per-trigger revalidation:
+//!   the slot's atom unified with a delta fact under a pooled trigger's
+//!   universals, the rest completed),
+//! * one **head-delta** program per head slot (the mirror of the
+//!   delta-body programs: the slot's atom pinned to a delta fact, only its
+//!   variables seeding the rest of the head — the O(delta) revalidation
+//!   path enumerates head matches through it and probes the trigger pool
+//!   by their frontier bindings). These compile on first use
+//!   ([`Matcher::prepare_head_delta`]) rather than with the rest: most
+//!   small chases never enumerate head matches, and compiling is a fixed
+//!   cost on every one of them.
 //!
 //! Plans are recompiled when the instance's [`Instance::stats_epoch`]
 //! changes (each doubling — or merge-driven halving — of the fact count)
@@ -47,6 +56,10 @@ pub struct ConstraintPlans {
     /// Per head slot `j`: the head without atom `j`, universals plus atom
     /// `j`'s variables seeded.
     pub head_rests: Vec<JoinProgram>,
+    /// Per head slot `j`: the head without atom `j`, only atom `j`'s
+    /// variables seeded (the head-side mirror of `body_delta`). Empty until
+    /// [`Matcher::prepare_head_delta`] compiles it.
+    pub head_delta: Vec<JoinProgram>,
 }
 
 fn without(atoms: &[Atom], j: usize) -> Vec<Atom> {
@@ -88,6 +101,7 @@ fn compile_constraint(c: &Constraint, stats: &Instance) -> ConstraintPlans {
         body_delta,
         head,
         head_rests,
+        head_delta: Vec::new(),
     }
 }
 
@@ -327,11 +341,98 @@ impl Matcher {
         }
     }
 
+    /// Compile TGD `ci`'s head-delta programs against `inst`'s statistics,
+    /// registering the composite indexes they want, unless they are
+    /// compiled already; they then live until the next recompile. Call it
+    /// before [`Matcher::for_each_head_delta_match`]. No-op for unplanned
+    /// matchers.
+    pub fn prepare_head_delta(&mut self, ci: usize, head: &[Atom], inst: &mut Instance) {
+        let Some(cache) = &mut self.cache else {
+            return;
+        };
+        let plans = &mut cache.plans[ci];
+        if !plans.head_delta.is_empty() {
+            return;
+        }
+        let _t = self.recorder.phase(Phase::PlanCompile);
+        plans.head_delta = (0..head.len())
+            .map(|j| compile(&without(head, j), &head[j].vars(), inst))
+            .collect();
+        for prog in &plans.head_delta {
+            for (pred, mask) in prog.needed_composites() {
+                inst.register_composite(pred, mask);
+            }
+        }
+    }
+
+    /// Head-side semi-naive enumeration for TGD `ci`: every homomorphism of
+    /// the head into `inst` that maps head slot `j` onto the delta fact `a`
+    /// — the mirror of [`Matcher::for_each_delta_match`] for one
+    /// `(slot, fact)` pair. Only `a`'s unifier seeds the rest of the head
+    /// (`rests[j]`, the head without atom `j`, consulted on the unplanned
+    /// path only), so the matches are independent of any trigger; the
+    /// revalidation pass probes the trigger pool with their frontier
+    /// bindings. Returns `true` iff the callback stopped the enumeration.
+    ///
+    /// # Panics
+    /// Planner on: panics unless [`Matcher::prepare_head_delta`] compiled
+    /// `ci`'s programs since the last recompile.
+    #[allow(clippy::too_many_arguments)]
+    pub fn for_each_head_delta_match(
+        &self,
+        ci: usize,
+        head: &[Atom],
+        rests: &[Vec<Atom>],
+        j: usize,
+        inst: &Instance,
+        a: &Atom,
+        cb: &mut dyn FnMut(&Subst) -> bool,
+    ) -> bool {
+        let Some(nu0) = unify_atom(&head[j], a, &Subst::new()) else {
+            return false;
+        };
+        match &self.cache {
+            Some(cache) => {
+                let prog = cache.plans[ci].head_delta.get(j);
+                for_each_match(prog.expect("head-delta programs prepared"), inst, &nu0, cb)
+            }
+            None => for_each_hom(&rests[j], inst, &nu0, false, cb),
+        }
+    }
+
+    /// Does the pooled trigger `mu` of TGD `ci` extend to a head match that
+    /// maps head slot `j` onto the fact `a` (already in `inst`)? `rests[j]`
+    /// is the head with atom `j` removed and is only consulted on the
+    /// unplanned path (the planned path has its own per-slot programs).
+    #[allow(clippy::too_many_arguments)]
+    pub fn head_satisfied_via(
+        &self,
+        ci: usize,
+        head: &[Atom],
+        rests: &[Vec<Atom>],
+        j: usize,
+        inst: &Instance,
+        a: &Atom,
+        mu: &Subst,
+    ) -> bool {
+        let Some(nu0) = unify_atom(&mu.apply_atom(&head[j]), a, &Subst::new()) else {
+            return false;
+        };
+        let mut seed = mu.clone();
+        for (v, term) in nu0.var_bindings() {
+            seed.bind_var(v, term);
+        }
+        match &self.cache {
+            Some(cache) => exists_match(&cache.plans[ci].head_rests[j], inst, &seed),
+            None => exists_extension(&rests[j], inst, &seed),
+        }
+    }
+
     /// Did adding `added` (already inserted into `inst`) newly satisfy the
     /// TGD head of `ci` under the pooled trigger `mu`? Matcher-aware form of
-    /// `chase_engine::trigger::head_newly_satisfied` — `rests[j]` is the
-    /// head with atom `j` removed and is only consulted on the unplanned
-    /// path (the planned path has its own per-slot programs).
+    /// `chase_engine::trigger::head_newly_satisfied`: a new head extension
+    /// maps some slot onto some added fact, so this is
+    /// [`Matcher::head_satisfied_via`] over every `(slot, fact)` pair.
     pub fn head_newly_satisfied(
         &self,
         ci: usize,
@@ -341,21 +442,10 @@ impl Matcher {
         added: &[Atom],
         mu: &Subst,
     ) -> bool {
-        head.iter().enumerate().any(|(j, h)| {
-            let h_inst = mu.apply_atom(h);
-            added.iter().any(|a| {
-                let Some(nu0) = unify_atom(&h_inst, a, &Subst::new()) else {
-                    return false;
-                };
-                let mut seed = mu.clone();
-                for (v, term) in nu0.var_bindings() {
-                    seed.bind_var(v, term);
-                }
-                match &self.cache {
-                    Some(cache) => exists_match(&cache.plans[ci].head_rests[j], inst, &seed),
-                    None => exists_extension(&rests[j], inst, &seed),
-                }
-            })
+        (0..head.len()).any(|j| {
+            added
+                .iter()
+                .any(|a| self.head_satisfied_via(ci, head, rests, j, inst, a, mu))
         })
     }
 }
@@ -512,6 +602,33 @@ mod tests {
         homs.sort();
         assert_eq!(homs.len(), 2, "S(X) matches S(a), S(b)");
         assert!(!m.refresh(&set_b, &mut inst), "now in sync with set_b");
+    }
+
+    #[test]
+    fn head_delta_matching_agrees() {
+        // Slot 1's fact T(b) seeds Y only; the rest E(X,b) has two matches.
+        let set = ConstraintSet::parse("S(X) -> E(X,Y), T(Y)").unwrap();
+        let t = set[0].as_tgd().unwrap();
+        let mut inst = Instance::parse("S(a). E(a,b). E(c,b). E(a,d). T(b).").unwrap();
+        let mut planned = Matcher::planned(&set, &mut inst);
+        planned.prepare_head_delta(0, t.head(), &mut inst);
+        let rests: Vec<Vec<Atom>> = (0..t.head().len()).map(|j| without(t.head(), j)).collect();
+        let fact = Atom::new("T", vec![Term::constant("b")]);
+        let collect = |m: &Matcher, j: usize| {
+            let mut out = Vec::new();
+            m.for_each_head_delta_match(0, t.head(), &rests, j, &inst, &fact, &mut |h| {
+                out.push(h.clone());
+                false
+            });
+            sorted_bindings(out)
+        };
+        let homs = collect(&planned, 1);
+        assert_eq!(homs, collect(&Matcher::unplanned(), 1));
+        assert_eq!(homs.len(), 2, "E(a,b) and E(c,b): {homs:?}");
+        assert!(
+            collect(&planned, 0).is_empty(),
+            "T(b) does not unify with E(X,Y)"
+        );
     }
 
     #[test]

@@ -490,3 +490,83 @@ fn egd_workloads_agree() {
         assert_equivalent(&set, &inst, &cfg).unwrap_or_else(|e| panic!("{e:?}"));
     }
 }
+
+/// Head-revalidation shapes: delta and naive engines must replay the same
+/// trace round-robin and under a seeded random order, with the planner on
+/// and off. The delta engine answers "which pooled triggers did the new
+/// atoms satisfy?" from its frontier and head-slot indexes, so each case
+/// pins one shape of head those indexes must handle.
+fn assert_head_case(set: &str, inst: &str) {
+    let set = chase_core::ConstraintSet::parse(set).unwrap();
+    let inst = chase_core::Instance::parse(inst).unwrap();
+    for strategy in [Strategy::RoundRobin, Strategy::Random { seed: 5 }] {
+        let cfg = ChaseConfig {
+            strategy,
+            max_steps: Some(400),
+            keep_trace: true,
+            ..ChaseConfig::default()
+        };
+        let mut cfg_off = cfg.clone();
+        cfg_off.use_planner = false;
+        let delta = chase(&inst, &set, &cfg);
+        assert!(delta.terminated(), "{set}: {delta}");
+        let run = |label, a: &chase_engine::ChaseResult| {
+            assert_traces_equal(label, a, &delta, &set, &inst).unwrap_or_else(|e| panic!("{e:?}"))
+        };
+        run("naive vs delta", &chase_naive(&inst, &set, &cfg));
+        run("planner-off delta vs delta", &chase(&inst, &set, &cfg_off));
+        run(
+            "planner-off naive vs delta",
+            &chase_naive(&inst, &set, &cfg_off),
+        );
+    }
+}
+
+/// LAV-shaped head `emp(X,D), dept(D,Y)`: a new `dept` atom's slot bucket
+/// holds every trigger of its department, but the head matches it seeds are
+/// few — the enumerate-and-probe path.
+#[test]
+fn lav_shaped_heads_agree() {
+    let mut facts = String::from("emp(p0,d9). dept(d9,org1). emp(p5,d8). dept(d8,org0). ");
+    for i in 0..12 {
+        facts.push_str(&format!("src(p{i},org{}). ", i % 3));
+    }
+    assert_head_case(
+        "src(X,Y) -> emp(X,D), dept(D,Y)\nemp(X,D) -> person(X)",
+        &facts,
+    );
+}
+
+/// Travel-shaped head `hasAirport(C1), hasAirport(C2)`: a new airport
+/// seeds a scan of every airport, which soon outnumbers the slot bucket —
+/// the bucket-fallback path.
+#[test]
+fn travel_shaped_heads_agree() {
+    let mut facts = String::from("hasAirport(c0). hasAirport(c3). hasAirport(c7). ");
+    for i in 0..10 {
+        facts.push_str(&format!("fly(c{i},c{},d{}). ", (i * 3 + 1) % 10, i % 2));
+        facts.push_str(&format!("rail(c{i},c{},r{i}). ", (i + 2) % 10));
+    }
+    assert_head_case(
+        "fly(C1,C2,D) -> hasAirport(C1), hasAirport(C2)\nrail(C1,C2,D) -> rail(C2,C1,D)",
+        &facts,
+    );
+}
+
+/// A head constant, a repeated existential, and a head slot with no
+/// frontier variable (its bucket is the whole pool of that TGD).
+#[test]
+fn unusual_head_shapes_agree() {
+    assert_head_case(
+        "S(X) -> R(X,c), T(c,Y)\nS(X), K(X) -> R(X,c)",
+        "S(a). S(b). S(e). R(a,d). T(c,n). R(b,c). K(e). K(a).",
+    );
+    assert_head_case(
+        "S(X) -> R(X,Z,Z)\nT(X,Y) -> R(X,Y,Y)",
+        "S(a). S(b). S(e). R(a,n1,n2). R(b,k,k). T(a,m). T(e,q).",
+    );
+    assert_head_case(
+        "A(X) -> R(Z), S(Z,X)\nB(X,Y) -> S(Y,X), R(Y)",
+        "A(a). A(b). A(c). R(z). S(w,a). B(b,z). B(c,v). B(a,w).",
+    );
+}
