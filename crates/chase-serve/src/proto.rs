@@ -576,7 +576,8 @@ pub enum ErrorCode {
     UnknownSession,
     /// No such snapshot id ([`ServeError::UnknownSnapshot`]).
     UnknownSnapshot,
-    /// The session's actor thread is gone ([`ServeError::SessionGone`]).
+    /// The session's mailbox was killed (closed, evicted or panicked)
+    /// ([`ServeError::SessionGone`]).
     SessionGone,
     /// Anything else (core rejection, internal failure).
     Internal,

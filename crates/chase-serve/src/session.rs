@@ -30,6 +30,7 @@ use std::fmt;
 use std::io;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// Session configuration: the engine configuration used for every warm
 /// re-chase, plus the query-rewriting policy.
@@ -239,7 +240,7 @@ pub enum ServeError {
     UnknownSession(u64),
     /// No snapshot with this id exists on the addressed session.
     UnknownSnapshot(u64),
-    /// The session's actor is gone (its thread exited or panicked); the
+    /// The session's mailbox was killed (closed, evicted or panicked); the
     /// session can no longer be addressed.
     SessionGone,
     /// A durability operation failed: the write-ahead log or a snapshot
@@ -265,7 +266,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::UnknownSession(id) => write!(f, "no session {id}"),
             ServeError::UnknownSnapshot(id) => write!(f, "no snapshot {id}"),
-            ServeError::SessionGone => write!(f, "session actor is gone"),
+            ServeError::SessionGone => write!(f, "session mailbox is gone"),
             ServeError::Durability(msg) => write!(f, "durability: {msg}"),
             ServeError::Evicted(id) => write!(
                 f,
@@ -335,11 +336,10 @@ pub struct ChaseSession {
     state: EngineState,
     epoch: u64,
     last_reason: Option<StopReason>,
-    /// Per-query rewriting decisions: query text → the strictly smaller
-    /// Σ-equivalent rewriting chosen for it, or `None` when rewriting is
-    /// not beneficial (or the rewriting chase was cut off). Survives
-    /// across epochs — the constraint set never changes under a session.
-    rewrites: FxHashMap<String, Option<ConjunctiveQuery>>,
+    /// Per-query rewriting decisions, shared with every fork and snapshot
+    /// of this session and with the conductor's read path. Survives across
+    /// epochs — the constraint set never changes under a session.
+    rewrites: Arc<RewriteCache>,
     /// The durability attachment (WAL handle, snapshot thresholds,
     /// counters), present on sessions built with [`SessionBuilder::durable`]
     /// or reopened with [`ChaseSession::open`]. Boxed: most sessions are
@@ -371,7 +371,7 @@ impl Clone for ChaseSession {
             state: self.state.clone(),
             epoch: self.epoch,
             last_reason: self.last_reason.clone(),
-            rewrites: self.rewrites.clone(),
+            rewrites: Arc::clone(&self.rewrites),
             durable: None,
         }
     }
@@ -480,6 +480,9 @@ impl SessionBuilder {
             return Ok(build_in_memory(self.set, self.cfg, &self.instance));
         };
         std::fs::create_dir_all(&dir).map_err(dur_err)?;
+        // Make the new directory's entry durable in its parent.
+        let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+        wal::sync_dir(parent.unwrap_or(Path::new("."))).map_err(dur_err)?;
         match wal::read_manifest(&dir).map_err(ServeError::Durability)? {
             Some((set, cfg)) => {
                 if set != self.set {
@@ -537,13 +540,18 @@ fn build_in_memory(set: ConstraintSet, cfg: SessionConfig, instance: &Instance) 
     // of the env-gated process-global one. Recording is write-only for
     // the engine, so this cannot perturb the deterministic trace.
     state.set_recorder(Recorder::enabled(SESSION_EVENT_RING));
+    let rewrites = Arc::new(RewriteCache {
+        set: set.clone(),
+        cfg: cfg.clone(),
+        decisions: Mutex::default(),
+    });
     ChaseSession {
         set,
         cfg,
         state,
         epoch: 0,
         last_reason: None,
-        rewrites: FxHashMap::default(),
+        rewrites,
         durable: None,
     }
 }
@@ -959,19 +967,18 @@ impl ChaseSession {
 
     /// The cached rewriting decision for `q` (computing and caching it on
     /// first sight). `None` = evaluate `q` itself.
-    fn rewritten(&mut self, q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
-        if !self.cfg.use_sqo || !self.state.quiescent() {
+    fn rewritten(&self, q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
+        if !self.state.quiescent() {
             // A non-quiescent instance need not satisfy Σ, and Σ-equivalent
             // rewritings only agree on instances that do.
             return None;
         }
-        let key = q.to_string();
-        if let Some(cached) = self.rewrites.get(&key) {
-            return cached.clone();
-        }
-        let choice = choose_rewriting(q, &self.set, &self.cfg);
-        self.rewrites.insert(key, choice.clone());
-        choice
+        self.rewrites.rewritten(q)
+    }
+
+    /// The session's rewriting cache, for the conductor's read path.
+    pub(crate) fn rewrite_cache(&self) -> &Arc<RewriteCache> {
+        &self.rewrites
     }
 
     /// The telemetry recorder the session's engine reports into. All
@@ -1095,12 +1102,55 @@ fn render_batch(batch: &[Atom]) -> String {
     out
 }
 
+/// A session's `chase-sqo` rewriting decisions, keyed by query text: the
+/// strictly smaller Σ-equivalent rewriting chosen for each query, or `None`
+/// when rewriting is not beneficial (or the rewriting chase was cut off).
+/// A decision depends only on the query, Σ and the rewriting policy, so
+/// one cache serves the session, its forks and snapshots (whose Σ and
+/// configuration [`ChaseSession::restore`] asserts equal) and the
+/// conductor's concurrent read path — each query text is decided once.
+pub(crate) struct RewriteCache {
+    set: ConstraintSet,
+    cfg: SessionConfig,
+    decisions: Mutex<FxHashMap<String, Option<ConjunctiveQuery>>>,
+}
+
+impl RewriteCache {
+    /// The rewriting to evaluate instead of `q` (`None` = evaluate `q`
+    /// itself), decided on first sight and cached. Only sound on an
+    /// instance that satisfies Σ.
+    pub(crate) fn rewritten(&self, q: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
+        if !self.cfg.use_sqo {
+            return None;
+        }
+        let key = q.to_string();
+        let mut decisions = self.decisions.lock().unwrap();
+        if let Some(cached) = decisions.get(&key) {
+            return cached.clone();
+        }
+        let choice = choose_rewriting(q, &self.set, &self.cfg);
+        decisions.insert(key, choice.clone());
+        choice
+    }
+
+    /// The cached decision for a query text, if one was made.
+    #[cfg(test)]
+    pub(crate) fn get(&self, key: &str) -> Option<Option<ConjunctiveQuery>> {
+        self.decisions.lock().unwrap().get(key).cloned()
+    }
+
+    /// How many query texts have been decided.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.decisions.lock().unwrap().len()
+    }
+}
+
 /// The `chase-sqo` rewriting choice for `q` under `set` and the session's
 /// rewriting policy: the first minimal rewriting when it is a *strict*
 /// shrink of the body, `None` otherwise (or when the rewriting chase was
-/// cut off). Shared by [`ChaseSession`]'s per-session cache and the
-/// conductor's concurrent read path, so both route queries identically.
-pub(crate) fn choose_rewriting(
+/// cut off).
+fn choose_rewriting(
     q: &ConjunctiveQuery,
     set: &ConstraintSet,
     cfg: &SessionConfig,
@@ -1334,6 +1384,24 @@ mod tests {
         // Second query hits the cache (no way to observe the chase from
         // here, but the cached entry must be stable).
         assert_eq!(with_sqo.query(&q).unwrap(), a);
+    }
+
+    #[test]
+    fn forks_and_snapshots_share_the_parents_rewrite_decisions() {
+        let set = ConstraintSet::parse("rail(X,Y,D) -> rail(Y,X,D)").unwrap();
+        let q = ConjunctiveQuery::parse("q(X) <- rail(c,X,D), rail(X,c,D)").unwrap();
+        let mut parent = ChaseSession::new(set);
+        parent.apply(atoms("rail(c,u,d1). rail(c,w,d1).")).unwrap();
+        let answers = parent.query(&q).unwrap();
+        let mut fork = parent.fork();
+        let snap = parent.snapshot();
+        // One cache behind all three: the parent's decision is already there.
+        assert!(Arc::ptr_eq(&parent.rewrites, &fork.rewrites));
+        assert!(Arc::ptr_eq(&parent.rewrites, &snap.rewrites));
+        let cached = fork.rewrites.get(&q.to_string()).unwrap();
+        assert_eq!(cached.unwrap().body().len(), 1);
+        assert_eq!(fork.query(&q).unwrap(), answers);
+        assert_eq!(fork.rewrites.len(), 1, "the fork decided nothing anew");
     }
 
     #[test]

@@ -337,7 +337,15 @@ pub(crate) fn write_snapshot(dir: &Path, epoch: u64, instance: &Instance) -> io:
         f.sync_all()?;
     }
     fs::rename(&tmp_path, &final_path)?;
+    sync_dir(dir)?;
     Ok(final_path)
+}
+
+/// Fsync directory `dir`, making renames and file creations inside it
+/// durable: a rename is only crash-safe once the directory holding the new
+/// entry is on disk.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Decode one snapshot file; `None` when it is unreadable in any way
@@ -603,7 +611,8 @@ pub(crate) fn write_manifest(
         f.write_all(render_manifest(set, cfg).as_bytes())?;
         f.sync_all()?;
     }
-    fs::rename(tmp, dir.join(MANIFEST_FILE))
+    fs::rename(tmp, dir.join(MANIFEST_FILE))?;
+    sync_dir(dir)
 }
 
 /// Read the manifest in `dir`, if one exists. `Ok(None)` = fresh directory;
@@ -773,6 +782,14 @@ mod tests {
         write_manifest(&dir, &set, &cfg3).unwrap();
         let (_, cfg4) = read_manifest(&dir).unwrap().unwrap();
         assert_eq!(cfg4, cfg3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sync_dir_fails_on_a_missing_directory() {
+        let dir = tempdir("sync-dir");
+        sync_dir(&dir).unwrap();
+        assert!(sync_dir(&dir.join("missing")).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -9,17 +9,17 @@
 //!   comes back as a [`ProtoError`] value. A v1 (no-correlation) client is
 //!   answered with a clean version error frame, never silence.
 //!
-//! * **The clock.** A query admitted while an apply is chasing inside the
-//!   session's actor is answered from the *published* snapshot: it sees
+//! * **The clock.** A query admitted while an apply is chasing inside a
+//!   pool worker is answered from the *published* snapshot: it sees
 //!   exactly the pre-batch instance (never a torn intermediate state), and
 //!   once the apply's acknowledgement is observed, reads see the post-batch
 //!   instance (read-your-writes).
 //!
 //! Plus the full loopback TCP lifecycle: multi-tenant isolation under
 //! concurrent connections and every protocol error path — each concurrency
-//! test run against **both** schedulers (the pooled run queue and the
-//! legacy `workers: 0` thread-per-session escape hatch), so their
-//! equivalence is pinned rather than assumed.
+//! test run against the default pool **and** a single-worker pool, where a
+//! fast-path read mid-apply cannot lean on a free worker (the only one is
+//! busy chasing) and every tenant shares that one worker.
 //!
 //! The vendored proptest stand-in has no collection strategies, so random
 //! messages are generated from a `u64` seed through a `StdRng`, like the
@@ -34,16 +34,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::io::Cursor;
 
-/// The two conductor scheduling modes every concurrency test must agree
-/// across: the bounded worker pool (default) and the legacy
-/// thread-per-session escape hatch (`workers: 0`, kept for one release).
+/// The two pool shapes every concurrency test must agree across: the
+/// default width and a single worker (no spare worker to answer a read
+/// while an apply chases; all tenants multiplexed onto one thread).
 fn scheduler_modes() -> [(&'static str, ConductorConfig); 2] {
     [
         ("pool", ConductorConfig::default()),
         (
-            "legacy-threads",
+            "one-worker",
             ConductorConfig {
-                workers: 0,
+                workers: 1,
                 ..ConductorConfig::default()
             },
         ),
