@@ -2,7 +2,7 @@
 //! cost of membership testing per level.
 //!
 //! The printed series shows the empirical law `level(arity n) = n + 1`
-//! (DESIGN.md §4.3); the timings show how the `≺k,P` oracle cost grows with
+//! (PAPER.md, "Deviations from the paper", D10); the timings show how the `≺k,P` oracle cost grows with
 //! the chain length k.
 
 use chase_bench::{print_table, Row};

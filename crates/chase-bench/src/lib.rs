@@ -2,9 +2,9 @@
 //!
 //! Benchmark harness regenerating every figure and quantitative claim of the
 //! paper. The Criterion benchmarks live in `benches/` (one target per
-//! experiment id of DESIGN.md §3); this library hosts the shared row/series
-//! printers so `cargo bench` output doubles as the data behind
-//! EXPERIMENTS.md.
+//! experiment; PAPER.md's "Benchmarks" section lists the main ones); this
+//! library hosts the shared row/series printers so `cargo bench` output
+//! doubles as the data behind the paper's tables and series.
 //!
 //! # Examples
 //!

@@ -2,8 +2,8 @@
 //!
 //! Criterion measures time; the *shape* results the paper reports
 //! (classification matrices, chase-length series, hierarchy levels) are
-//! printed by these helpers so a `cargo bench` run reproduces the artifacts
-//! of EXPERIMENTS.md verbatim.
+//! printed by these helpers so a `cargo bench` run reproduces them
+//! verbatim.
 
 /// One row of a printed table: label plus cells.
 #[derive(Debug, Clone)]
@@ -51,8 +51,8 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Row]) {
     }
 }
 
-/// Print an `(x, y)` series, one point per line, for growth-shape eyeballing
-/// and EXPERIMENTS.md.
+/// Print an `(x, y)` series, one point per line, for growth-shape
+/// eyeballing.
 pub fn print_series(title: &str, x_name: &str, y_name: &str, points: &[(f64, f64)]) {
     println!("\n=== {title} ===");
     println!("{x_name:>12}  {y_name:>14}");

@@ -133,27 +133,6 @@ impl fmt::Display for Subst {
     }
 }
 
-/// Tuning knobs for the backtracking searcher — exposed so the benchmark
-/// suite can ablate the two join optimizations (DESIGN.md §8).
-#[derive(Debug, Clone)]
-pub struct HomConfig {
-    /// Use the per-`(predicate, position, term)` index to narrow candidate
-    /// facts; with `false`, every fact of the predicate is scanned.
-    pub use_position_index: bool,
-    /// Expand the most-constrained remaining atom first; with `false`,
-    /// atoms are matched left to right as written.
-    pub dynamic_ordering: bool,
-}
-
-impl Default for HomConfig {
-    fn default() -> HomConfig {
-        HomConfig {
-            use_position_index: true,
-            dynamic_ordering: true,
-        }
-    }
-}
-
 /// What the searcher undoes when backtracking out of an atom match.
 enum Undo {
     Var(Sym),
@@ -165,13 +144,12 @@ struct Searcher<'a> {
     target: &'a Instance,
     flex_nulls: bool,
     subst: Subst,
-    cfg: HomConfig,
 }
 
 impl<'a> Searcher<'a> {
     /// Positions of `atom` whose value is already determined under the
-    /// current substitution; used for dynamic atom ordering and for the
-    /// index-driven candidate scan.
+    /// current substitution: the key of its position-index candidate
+    /// bucket, used both for dynamic atom ordering and for the scan.
     fn fixed_positions(&self, atom: &Atom) -> Vec<(usize, Term)> {
         let mut fixed = Vec::new();
         for (i, &raw) in atom.terms().iter().enumerate() {
@@ -191,15 +169,6 @@ impl<'a> Searcher<'a> {
             }
         }
         fixed
-    }
-
-    /// The index key used for candidate lookup, honoring the ablation knob.
-    fn candidate_key(&self, atom: &Atom) -> Vec<(usize, Term)> {
-        if self.cfg.use_position_index {
-            self.fixed_positions(atom)
-        } else {
-            Vec::new() // per-predicate bucket only
-        }
     }
 
     /// Try to match `atom` against the stored fact `fact`, extending the
@@ -269,38 +238,25 @@ impl<'a> Searcher<'a> {
             return cb(&self.subst);
         }
         // Dynamic ordering: expand the most constrained remaining atom.
-        // (Ablated mode matches atoms in written order; `remaining` is kept
-        // in reverse so popping the last slot yields the leftmost atom.)
-        let best_slot = if self.cfg.dynamic_ordering {
-            let mut best_slot = 0;
-            let mut best_len = usize::MAX;
-            for (slot, &ai) in remaining.iter().enumerate() {
-                let atom = &self.pattern[ai];
-                let fixed = self.candidate_key(atom);
-                let len = self.target.candidates(atom.pred(), &fixed).len();
-                if len < best_len {
-                    best_len = len;
-                    best_slot = slot;
-                    if len == 0 {
-                        return false; // some atom has no candidates: dead branch
-                    }
+        let mut best_slot = 0;
+        let mut best_len = usize::MAX;
+        for (slot, &ai) in remaining.iter().enumerate() {
+            let atom = &self.pattern[ai];
+            let len = self
+                .target
+                .candidates(atom.pred(), &self.fixed_positions(atom))
+                .len();
+            if len < best_len {
+                best_len = len;
+                best_slot = slot;
+                if len == 0 {
+                    return false; // some atom has no candidates: dead branch
                 }
             }
-            best_slot
-        } else {
-            let mut best_slot = 0;
-            let mut best_ai = usize::MAX;
-            for (slot, &ai) in remaining.iter().enumerate() {
-                if ai < best_ai {
-                    best_ai = ai;
-                    best_slot = slot;
-                }
-            }
-            best_slot
-        };
+        }
         let ai = remaining.swap_remove(best_slot);
         let atom = &self.pattern[ai];
-        let fixed = self.candidate_key(atom);
+        let fixed = self.fixed_positions(atom);
         // The candidate bucket borrows from `target`; clone the indices so we
         // can mutate `self` while iterating.
         let cands: Vec<u32> = self.target.candidates(atom.pred(), &fixed).to_vec();
@@ -337,25 +293,11 @@ pub fn for_each_hom(
     flex_nulls: bool,
     cb: &mut dyn FnMut(&Subst) -> bool,
 ) -> bool {
-    for_each_hom_cfg(pattern, target, seed, flex_nulls, &HomConfig::default(), cb)
-}
-
-/// [`for_each_hom`] with explicit searcher tuning (for ablation benchmarks;
-/// all configurations enumerate the same homomorphisms).
-pub fn for_each_hom_cfg(
-    pattern: &[Atom],
-    target: &Instance,
-    seed: &Subst,
-    flex_nulls: bool,
-    cfg: &HomConfig,
-    cb: &mut dyn FnMut(&Subst) -> bool,
-) -> bool {
     let mut searcher = Searcher {
         pattern,
         target,
         flex_nulls,
         subst: seed.clone(),
-        cfg: cfg.clone(),
     };
     let mut remaining: Vec<usize> = (0..pattern.len()).collect();
     searcher.search(&mut remaining, cb)
@@ -585,39 +527,5 @@ mod tests {
             i.iter().filter_map(|f| unify_atom(pat, &f, &seed)).count(),
             2
         );
-    }
-
-    #[test]
-    fn all_searcher_configs_agree() {
-        // The ablation knobs change cost, never results.
-        let i = inst("E(a,b). E(b,c). E(c,d). E(a,c). S(b). S(c). T(a,b,c). T(b,c,d).");
-        let patterns = [
-            "E(X,Y), E(Y,Z)",
-            "S(X), E(X,Y), E(Y,Z), S(Z)",
-            "T(X,Y,Z), E(X,Y), S(Y)",
-            "E(X,X)",
-        ];
-        for pat in patterns {
-            let pattern = atoms(pat);
-            let mut counts = Vec::new();
-            for use_idx in [true, false] {
-                for dynamic in [true, false] {
-                    let cfg = HomConfig {
-                        use_position_index: use_idx,
-                        dynamic_ordering: dynamic,
-                    };
-                    let mut n = 0usize;
-                    for_each_hom_cfg(&pattern, &i, &Subst::new(), false, &cfg, &mut |_| {
-                        n += 1;
-                        false
-                    });
-                    counts.push(n);
-                }
-            }
-            assert!(
-                counts.windows(2).all(|w| w[0] == w[1]),
-                "configs disagree on {pat}: {counts:?}"
-            );
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Plain-text syntax for constraints, instances and queries.
 //!
-//! Conventions (documented in DESIGN.md §5):
+//! Conventions (PAPER.md, "Deviations from the paper", D1):
 //!
 //! * identifiers starting with an ASCII uppercase letter are **variables**
 //!   (`X`, `Y1`, `City`);

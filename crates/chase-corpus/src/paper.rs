@@ -123,7 +123,7 @@ pub fn sec37_sigma_dprime() -> ConstraintSet {
 /// Genuine firing chains have at most `n − 1` steps, so the set sits at
 /// hierarchy level `T[n+1] \ T[n]` (the paper's Figure 2 anchor: arity 2 is
 /// in `T[3]`; the prose of Example 15 is off by one against that anchor —
-/// see EXPERIMENTS.md E2).
+/// PAPER.md, "Deviations from the paper", D10).
 pub fn sigma_family(arity: usize) -> ConstraintSet {
     assert!(arity >= 2, "the family starts at arity 2");
     let body_vars: Vec<String> = (1..=arity).map(|i| format!("X{i}")).collect();

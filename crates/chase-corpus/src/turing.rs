@@ -11,8 +11,8 @@
 //! vertical `L`/`R` edges, and per-symbol copy rules reproduce the untouched
 //! part of the tape into the next row.
 //!
-//! Two deliberate tightenings over the paper's proof sketch (documented in
-//! DESIGN.md §4): transition rules are instantiated per concrete
+//! Two deliberate tightenings over the paper's proof sketch (PAPER.md,
+//! "Deviations from the paper", D2): transition rules are instantiated per concrete
 //! neighbor-symbol (the sketch's universally quantified neighbor would also
 //! match the end marker), and vertical `R`-edges are only emitted where a
 //! cell actually needs copying (the sketch's extra `R(y,y')` would duplicate

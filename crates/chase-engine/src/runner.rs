@@ -24,9 +24,8 @@
 //!
 //! * only constraints whose *body* predicates intersect the delta are
 //!   re-matched, semi-naively: each new atom is pinned into each compatible
-//!   body slot and the rest of the body is completed through the
-//!   index-driven homomorphism searcher
-//!   ([`crate::trigger::for_each_delta_match`]);
+//!   body slot and the rest of the body is completed through that slot's
+//!   compiled delta program ([`Matcher::for_each_delta_match`]);
 //! * head revalidation is the mirror image, on the head side: a violated
 //!   TGD trigger becomes satisfied only through a new head match that maps
 //!   some head atom onto a new atom, and whether a head match satisfies a
@@ -51,13 +50,12 @@
 //!
 //! All matching work — the initial pool build, semi-naive delta
 //! re-matching, head revalidation, and the naive reference's full
-//! re-enumeration — goes through a [`Matcher`]: with `ChaseConfig::use_planner` (the default) each
-//! constraint body and head is compiled once per statistics epoch into a
-//! `chase-plan` join program (greedy bind-first/smallest-relation-first atom
-//! order, composite secondary-index lookups), and with the planner off the
-//! classic backtracking searcher runs instead. Both enumerate the same
-//! homomorphism sets and triggers are selected canonically by normalized
-//! assignment, so traces are bit-identical planner-on vs planner-off.
+//! re-enumeration — goes through a [`Matcher`]: each constraint body and
+//! head is compiled once per statistics epoch into a `chase-plan` join
+//! program (greedy bind-first/smallest-relation-first atom order,
+//! composite secondary-index lookups). Triggers are selected canonically by
+//! normalized assignment, so traces do not depend on the programs'
+//! enumeration order.
 //!
 //! This replaces the seed engine's per-step full re-enumeration — a
 //! backtracking search over the whole instance for every constraint on every
@@ -73,7 +71,7 @@
 
 use crate::monitor::MonitorGraph;
 use crate::step::{apply_step, StepEffect};
-use crate::trigger::{head_rests, normalize, Matcher};
+use crate::trigger::{normalize, Matcher};
 use chase_core::fx::{FxHashMap, FxHashSet};
 use chase_core::homomorphism::Subst;
 use chase_core::{Atom, Constraint, ConstraintSet, Instance, MergeEffect, Sym, Term};
@@ -136,12 +134,6 @@ pub struct ChaseConfig {
     pub keep_trace: bool,
     /// Maintain (and return) the monitor graph even without a depth guard.
     pub keep_monitor: bool,
-    /// Route all trigger matching through the `chase-plan` cost-guided join
-    /// programs and composite indexes (the default). With `false`, every
-    /// matching path runs the classic backtracking searcher instead.
-    /// Trigger selection is canonical either way, so traces are
-    /// bit-identical planner-on vs planner-off — only the cost differs.
-    pub use_planner: bool,
 }
 
 impl Default for ChaseConfig {
@@ -154,7 +146,6 @@ impl Default for ChaseConfig {
             monitor_depth: None,
             keep_trace: false,
             keep_monitor: false,
-            use_planner: true,
         }
     }
 }
@@ -511,7 +502,6 @@ impl TriggerPool {
         &self,
         ci: usize,
         head: &[Atom],
-        rests: &[Vec<Atom>],
         matcher: &mut Matcher,
         inst: &mut Instance,
         added: &[Atom],
@@ -530,24 +520,23 @@ impl TriggerPool {
                 matcher.prepare_head_delta(ci, head, inst);
                 let (matcher, inst) = (&*matcher, &*inst);
                 let mut seen = 0usize;
-                let overflow =
-                    matcher.for_each_head_delta_match(ci, head, rests, j, inst, a, &mut |m| {
-                        if seen == bucket.len() {
-                            return true;
-                        }
-                        seen += 1;
-                        if let Some(sat) = index.frontier_bucket(m, &mut probe) {
-                            hits.extend(sat.iter().cloned());
-                        }
-                        false
-                    });
+                let overflow = matcher.for_each_head_delta_match(ci, head, j, inst, a, &mut |m| {
+                    if seen == bucket.len() {
+                        return true;
+                    }
+                    seen += 1;
+                    if let Some(sat) = index.frontier_bucket(m, &mut probe) {
+                        hits.extend(sat.iter().cloned());
+                    }
+                    false
+                });
                 if overflow {
                     hits.extend(
                         bucket
                             .iter()
                             .filter(|key| {
                                 let mu = &self.pools[ci][*key];
-                                matcher.head_satisfied_via(ci, head, rests, j, inst, a, mu)
+                                matcher.head_satisfied_via(ci, head, j, inst, a, mu)
                             })
                             .cloned(),
                     );
@@ -632,14 +621,9 @@ pub struct EngineState {
     body_preds: Vec<FxHashSet<Sym>>,
     /// Per-constraint TGD head predicates, for revalidation dispatch.
     head_preds: Vec<FxHashSet<Sym>>,
-    /// Per-constraint head rests (`[j]` = the TGD head without atom `j`),
-    /// computed once for the unplanned matching paths; empty for EGDs and
-    /// when the planner is on (its compiled programs replace them).
-    head_rests: Vec<Vec<Vec<Atom>>>,
     /// The matching engine every trigger query goes through: compiled
-    /// `chase-plan` join programs (planner on) or the classic searcher
-    /// (planner off). Refreshed when the instance's statistics epoch
-    /// moves.
+    /// `chase-plan` join programs, refreshed when the instance's
+    /// statistics epoch moves.
     matcher: Matcher,
     /// Facts rewritten by EGD merges, cumulative across every run over
     /// this state (merge-cost observability for the serving layer).
@@ -665,7 +649,7 @@ pub struct EngineState {
 
 impl EngineState {
     /// Build fresh state for chasing `instance` under `set`/`cfg`: clones
-    /// the instance, compiles the matcher (planner permitting), and sets up
+    /// the instance, compiles the matcher, and sets up
     /// the dispatch tables. The trigger pool itself is populated lazily by
     /// the first run (or resume) over the state.
     pub fn new(instance: &Instance, set: &ConstraintSet, cfg: &ChaseConfig) -> EngineState {
@@ -687,20 +671,9 @@ impl EngineState {
                 Constraint::Egd(_) => FxHashSet::default(),
             })
             .collect();
-        let rests = set
-            .iter()
-            .map(|c| match c.as_tgd() {
-                Some(t) if !cfg.use_planner => head_rests(t.head()),
-                _ => Vec::new(),
-            })
-            .collect();
         let mut inst = instance.clone();
         let recorder = chase_obs::global().clone();
-        let matcher = if cfg.use_planner {
-            Matcher::planned_with(set, &mut inst, recorder.clone())
-        } else {
-            Matcher::unplanned()
-        };
+        let matcher = Matcher::planned_with(set, &mut inst, recorder.clone());
         EngineState {
             inst,
             steps: 0,
@@ -711,7 +684,6 @@ impl EngineState {
             pool: TriggerPool::new(set),
             body_preds,
             head_preds,
-            head_rests: rests,
             matcher,
             merge_rewritten: 0,
             merge_collapsed: 0,
@@ -1021,7 +993,7 @@ impl<'a> Run<'a> {
         let matcher = &*matcher;
         debug_assert_eq!(pool.total, 0, "the pool is built once, from empty");
         for (ci, c) in set.enumerate() {
-            matcher.for_each_body_hom(ci, c, inst, &mut |mu| {
+            matcher.for_each_body_hom(ci, inst, &mut |mu| {
                 let key = normalize(c, mu);
                 let fires = match cfg.mode {
                     ChaseMode::Standard => matcher.is_active(ci, c, inst, mu),
@@ -1057,7 +1029,6 @@ impl<'a> Run<'a> {
                 pool,
                 matcher,
                 head_preds,
-                head_rests,
                 ..
             } = &mut *self.st;
             for (ci, c) in self.set.enumerate() {
@@ -1067,8 +1038,7 @@ impl<'a> Run<'a> {
                 let Constraint::Tgd(t) = c else {
                     continue;
                 };
-                let now_dead =
-                    pool.newly_satisfied(ci, t.head(), &head_rests[ci], matcher, inst, added);
+                let now_dead = pool.newly_satisfied(ci, t.head(), matcher, inst, added);
                 for key in now_dead {
                     if pool.remove(ci, &key).is_some() {
                         dead[ci].insert(key);
@@ -1211,7 +1181,7 @@ impl<'a> Run<'a> {
         let mut best: Option<(TriggerKey, Subst)> = None;
         self.st
             .matcher
-            .for_each_body_hom(ci, c, &self.st.inst, &mut |mu| {
+            .for_each_body_hom(ci, &self.st.inst, &mut |mu| {
                 let key = normalize(c, mu);
                 if best.as_ref().is_none_or(|(bk, _)| key < *bk) && self.fires(ci, c, mu, &key) {
                     best = Some((key, mu.clone()));
@@ -1229,7 +1199,7 @@ impl<'a> Run<'a> {
             let mut per: BTreeMap<TriggerKey, Subst> = BTreeMap::new();
             self.st
                 .matcher
-                .for_each_body_hom(ci, c, &self.st.inst, &mut |mu| {
+                .for_each_body_hom(ci, &self.st.inst, &mut |mu| {
                     let key = normalize(c, mu);
                     if !per.contains_key(&key) && self.fires(ci, c, mu, &key) {
                         per.insert(key, mu.clone());
@@ -1807,21 +1777,14 @@ mod tests {
         assert_eq!(res.fresh_nulls, 7);
     }
 
-    /// Drive both engines over the same inputs — with the planner on *and*
-    /// off — and demand bit-identical traces across all four runs: the
-    /// contract that makes the bench comparisons honest.
+    /// Drive both engines over the same inputs and demand bit-identical
+    /// traces: the contract that makes the bench comparisons honest.
     fn assert_engines_agree(set: &str, inst: &str, cfg: &ChaseConfig) {
         let (set, inst) = parse(set, inst);
         let mut cfg = cfg.clone();
         cfg.keep_trace = true;
-        let mut unplanned_cfg = cfg.clone();
-        unplanned_cfg.use_planner = false;
         let fast = chase(&inst, &set, &cfg);
-        let runs = [
-            ("naive planned", chase_naive(&inst, &set, &cfg)),
-            ("delta unplanned", chase(&inst, &set, &unplanned_cfg)),
-            ("naive unplanned", chase_naive(&inst, &set, &unplanned_cfg)),
-        ];
+        let runs = [("naive", chase_naive(&inst, &set, &cfg))];
         for (label, slow) in &runs {
             assert_eq!(fast.reason, slow.reason, "{label}");
             assert_eq!(fast.steps, slow.steps, "{label}");

@@ -6,18 +6,19 @@
 //! *oblivious* step applies whenever the body maps, regardless of
 //! satisfaction.
 //!
-//! All enumeration here is expressed over a [`Matcher`] — either the
-//! `chase-plan` cost-guided join programs (planner on) or the classic
-//! backtracking searcher (planner off). Both enumerate the same
-//! homomorphism *sets*; since triggers are identified by their normalized
-//! assignment and selected canonically, every function whose result is a
-//! set or a canonical element is enumeration-order-independent. The legacy
-//! free functions keep their historical (searcher-order) behavior by
-//! delegating to an unplanned matcher.
+//! The engines enumerate triggers through the [`Matcher`]'s compiled
+//! `chase-plan` join programs. The functions here answer the same
+//! questions directly on chase-core's backtracking searcher, for the
+//! callers that work one trigger at a time — breadth-first sequence
+//! search ([`crate::bfs`]), the core chase ([`mod@crate::core_of`]) and
+//! the step tests.
+//! Triggers are identified by their normalized assignment ([`normalize`]),
+//! so every result that is a set or a canonical element is independent of
+//! enumeration order.
 
 use chase_core::fx::FxHashSet;
 use chase_core::homomorphism::{for_each_hom, Subst};
-use chase_core::{Atom, Constraint, Instance, Sym, Term};
+use chase_core::{Constraint, Instance, Sym, Term};
 pub use chase_plan::Matcher;
 
 /// Is `(c, µ)` an active (standard-chase) trigger? Assumes `µ` maps the body
@@ -43,114 +44,17 @@ pub fn first_active_trigger(c: &Constraint, inst: &Instance) -> Option<Subst> {
     found
 }
 
-/// All active triggers of `c`, deduplicated, in deterministic order.
+/// All active triggers of `c`, deduplicated, in deterministic search order.
 pub fn active_triggers(c: &Constraint, inst: &Instance) -> Vec<Subst> {
-    active_triggers_with(&Matcher::unplanned(), 0, c, inst)
-}
-
-/// [`active_triggers`] through a [`Matcher`] (`ci` is the constraint's index
-/// in the set the matcher was compiled for; ignored when unplanned).
-///
-/// The returned *set* of triggers is matcher-independent; the order within
-/// the vector follows the matcher's enumeration.
-pub fn active_triggers_with(m: &Matcher, ci: usize, c: &Constraint, inst: &Instance) -> Vec<Subst> {
     let mut out: Vec<Subst> = Vec::new();
     let mut seen: FxHashSet<Vec<(Sym, Term)>> = FxHashSet::default();
-    m.for_each_body_hom(ci, c, inst, &mut |mu| {
-        if m.is_active(ci, c, inst, mu) {
-            let key = normalize(c, mu);
-            if seen.insert(key) {
-                out.push(mu.clone());
-            }
-        }
-        false
-    });
-    out
-}
-
-/// All body homomorphisms of `c` (oblivious triggers), deduplicated.
-pub fn oblivious_triggers(c: &Constraint, inst: &Instance) -> Vec<Subst> {
-    oblivious_triggers_with(&Matcher::unplanned(), 0, c, inst)
-}
-
-/// [`oblivious_triggers`] through a [`Matcher`]; see
-/// [`active_triggers_with`] for the `ci` and ordering contract.
-pub fn oblivious_triggers_with(
-    m: &Matcher,
-    ci: usize,
-    c: &Constraint,
-    inst: &Instance,
-) -> Vec<Subst> {
-    let mut out: Vec<Subst> = Vec::new();
-    let mut seen: FxHashSet<Vec<(Sym, Term)>> = FxHashSet::default();
-    m.for_each_body_hom(ci, c, inst, &mut |mu| {
-        let key = normalize(c, mu);
-        if seen.insert(key) {
+    for_each_hom(c.body(), inst, &Subst::new(), false, &mut |mu| {
+        if is_active(c, inst, mu) && seen.insert(normalize(c, mu)) {
             out.push(mu.clone());
         }
         false
     });
     out
-}
-
-/// Unify one body atom with one ground fact, extending `seed` — re-exported
-/// from `chase_core` so the single-atom semantics live next to the full
-/// searcher they must agree with.
-pub use chase_core::homomorphism::unify_atom as match_atom;
-
-/// Semi-naive delta enumeration: every body homomorphism of `c` into `inst`
-/// that maps at least one body atom onto an atom of `delta` (which must be a
-/// subset of `inst`).
-///
-/// Each body slot is pinned to each delta atom in turn and the remaining
-/// body atoms are completed through the regular index-driven searcher, so
-/// the cost scales with the delta, not the instance. A match using several
-/// delta atoms is reported once per delta atom it uses; callers deduplicate
-/// by normalized assignment (they already must, because distinct
-/// homomorphisms can normalize to the same trigger).
-pub fn for_each_delta_match(
-    c: &Constraint,
-    inst: &Instance,
-    delta: &[Atom],
-    cb: &mut dyn FnMut(&Subst) -> bool,
-) -> bool {
-    Matcher::unplanned().for_each_delta_match(0, c, inst, delta, cb)
-}
-
-/// Per-slot "rest of the head": `rests[j]` is the head with atom `j`
-/// removed. The engine computes them once per constraint, for the
-/// unplanned matching paths.
-pub fn head_rests(head: &[Atom]) -> Vec<Vec<Atom>> {
-    (0..head.len())
-        .map(|j| {
-            head.iter()
-                .enumerate()
-                .filter(|&(k, _)| k != j)
-                .map(|(_, b)| b.clone())
-                .collect()
-        })
-        .collect()
-}
-
-/// Did adding `added` (already inserted into `inst`) newly satisfy a TGD
-/// head under the pooled trigger `mu`?
-///
-/// Delta-seeded revalidation, symmetric to the body re-match: a *new* head
-/// extension must map at least one head atom onto a delta atom, so exactly
-/// those pairs are tried — each µ-instantiated head atom is unified with
-/// each delta atom (existential variables still free) and the remaining
-/// head atoms (`rests`, from [`head_rests`]) are completed through the
-/// searcher. This keeps the per-trigger cost at a few O(arity) unifications
-/// in the common case instead of a full backtracking extension search per
-/// pooled trigger.
-pub fn head_newly_satisfied(
-    head: &[Atom],
-    rests: &[Vec<Atom>],
-    inst: &Instance,
-    added: &[Atom],
-    mu: &Subst,
-) -> bool {
-    Matcher::unplanned().head_newly_satisfied(0, head, rests, inst, added, mu)
 }
 
 /// Canonical form of an assignment: bindings of the universal variables,
@@ -168,7 +72,8 @@ pub fn normalize(c: &Constraint, mu: &Subst) -> Vec<(Sym, Term)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chase_core::ConstraintSet;
+    use chase_core::homomorphism::find_all_homs;
+    use chase_core::{Atom, ConstraintSet};
 
     #[test]
     fn tgd_trigger_only_when_violated() {
@@ -185,7 +90,7 @@ mod tests {
         let set = ConstraintSet::parse("S(X) -> E(X,Y)").unwrap();
         let sat = Instance::parse("S(a). E(a,b).").unwrap();
         assert_eq!(active_triggers(&set[0], &sat).len(), 0);
-        assert_eq!(oblivious_triggers(&set[0], &sat).len(), 1);
+        assert_eq!(find_all_homs(set[0].body(), &sat).len(), 1);
     }
 
     #[test]
@@ -201,8 +106,9 @@ mod tests {
     #[test]
     fn head_revalidation_agrees_with_activity_check() {
         // For a trigger that was violated before the delta, "the delta newly
-        // satisfied the head" must coincide with "the trigger is no longer
-        // active" — the contract pool revalidation relies on.
+        // satisfied the head" (the matcher's delta-seeded revalidation) must
+        // coincide with "the trigger is no longer active" (the searcher's
+        // extension test) — the contract pool revalidation relies on.
         let set = ConstraintSet::parse("S(X) -> E(X,Y), T(Y)").unwrap();
         let c = &set[0];
         let Constraint::Tgd(t) = c else {
@@ -211,7 +117,7 @@ mod tests {
         let mut inst = Instance::parse("S(a). S(b).").unwrap();
         let mus = active_triggers(c, &inst);
         assert_eq!(mus.len(), 2);
-        let rests = head_rests(t.head());
+        let matcher = Matcher::planned(&set, &mut inst);
         let added = vec![
             Atom::new("E", vec![Term::constant("a"), Term::constant("b")]),
             Atom::new("T", vec![Term::constant("b")]),
@@ -221,7 +127,7 @@ mod tests {
         }
         for mu in &mus {
             assert_eq!(
-                head_newly_satisfied(t.head(), &rests, &inst, &added, mu),
+                matcher.head_newly_satisfied(0, t.head(), &inst, &added, mu),
                 !is_active(c, &inst, mu),
                 "disagreement for {mu}"
             );
@@ -229,7 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_and_unplanned_trigger_sets_agree() {
+    fn planned_trigger_sets_agree_with_the_searcher() {
         let set = ConstraintSet::parse(
             "E(X,Y), E(Y,Z) -> E(X,Z)\n\
              S(X) -> E(X,Y)\n\
@@ -238,27 +144,32 @@ mod tests {
         .unwrap();
         let mut inst = Instance::parse("E(a,b). E(b,c). E(a,c). S(a). S(z).").unwrap();
         let planned = Matcher::planned(&set, &mut inst);
-        let unplanned = Matcher::unplanned();
-        let keys = |mus: Vec<Subst>, c: &Constraint| {
+        let keys = |mus: &[Subst], c: &Constraint| {
             let mut v: Vec<Vec<(Sym, Term)>> = mus.iter().map(|mu| normalize(c, mu)).collect();
             v.sort();
+            v.dedup();
             v
         };
         for (ci, c) in set.enumerate() {
+            let mut body = Vec::new();
+            planned.for_each_body_hom(ci, &inst, &mut |mu| {
+                body.push(mu.clone());
+                false
+            });
+            let active: Vec<Subst> = body
+                .iter()
+                .filter(|mu| planned.is_active(ci, c, &inst, mu))
+                .cloned()
+                .collect();
             assert_eq!(
-                keys(active_triggers_with(&planned, ci, c, &inst), c),
-                keys(active_triggers_with(&unplanned, ci, c, &inst), c),
+                keys(&active, c),
+                keys(&active_triggers(c, &inst), c),
                 "active trigger sets differ on constraint {ci}"
             );
             assert_eq!(
-                keys(oblivious_triggers_with(&planned, ci, c, &inst), c),
-                keys(oblivious_triggers_with(&unplanned, ci, c, &inst), c),
+                keys(&body, c),
+                keys(&find_all_homs(c.body(), &inst), c),
                 "oblivious trigger sets differ on constraint {ci}"
-            );
-            // The legacy free functions are the unplanned path.
-            assert_eq!(
-                keys(active_triggers(c, &inst), c),
-                keys(active_triggers_with(&unplanned, ci, c, &inst), c)
             );
         }
     }

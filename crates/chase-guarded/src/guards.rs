@@ -103,7 +103,8 @@ mod tests {
 
     #[test]
     fn example19_under_definition12_is_not_restrictedly_guarded() {
-        // Documented deviation (DESIGN.md §4.2): the paper's worked Example
+        // Documented deviation (PAPER.md, "Deviations from the paper", D4):
+        // the paper's worked Example
         // 19 quotes a *per-constraint* f = {S^2, R^1} from the companion
         // TR's refined restriction systems. Under this paper's formal
         // Definition 12 (one global f), the closure also pulls in S^1 (α3

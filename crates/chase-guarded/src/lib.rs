@@ -17,7 +17,8 @@
 //!   Courcelle's theorem on bounded-treewidth models; what this crate ships
 //!   is the *class recognition* (the paper's actual §5 contribution) plus
 //!   sound certain-answer computation whenever the chase terminates — see
-//!   DESIGN.md §4.5 for the documented scope substitution.
+//!   PAPER.md, "Deviations from the paper", D3, for the scope
+//!   substitution.
 //!
 //! # Examples
 //!

@@ -23,9 +23,10 @@
 //! The [`Matcher`] bundles the compiled programs per constraint — full
 //! body, per-slot delta bodies, head, per-slot head rests — behind one
 //! handle the engines thread through trigger enumeration, with plan-cache
-//! invalidation on statistics-epoch changes. A planner-off matcher routes
-//! everything through the unplanned searcher instead; both enumerate the
-//! same homomorphism sets, so engine traces are bit-identical either way.
+//! invalidation on statistics-epoch changes. It is the engines' only join
+//! executor; chase-core's dynamic searcher enumerates the same
+//! homomorphism sets and is the reference the equivalence tests pin the
+//! programs against.
 
 pub mod exec;
 pub mod matcher;

@@ -471,7 +471,6 @@ fn render_chase_cfg(out: &mut String, prefix: &str, c: &ChaseConfig) {
     ));
     out.push_str(&format!("{prefix}.keep_trace {}\n", c.keep_trace));
     out.push_str(&format!("{prefix}.keep_monitor {}\n", c.keep_monitor));
-    out.push_str(&format!("{prefix}.use_planner {}\n", c.use_planner));
 }
 
 fn join_usize(v: &[usize]) -> String {
@@ -592,7 +591,13 @@ fn apply_cfg_line(c: &mut ChaseConfig, key: &str, value: &str) -> Result<(), Str
         "monitor_depth" => c.monitor_depth = parse_opt_usize(key, value)?,
         "keep_trace" => c.keep_trace = parse_bool(key, value)?,
         "keep_monitor" => c.keep_monitor = parse_bool(key, value)?,
-        "use_planner" => c.use_planner = parse_bool(key, value)?,
+        // Manifests written before the join planner became the only
+        // executor carry a `use_planner` line. Planner-off only ever
+        // changed matching cost — traces were bit-identical either way — so
+        // the value is checked and dropped, and those sessions still open.
+        "use_planner" => {
+            parse_bool(key, value)?;
+        }
         _ => return Err(format!("unknown config key {key:?}")),
     }
     Ok(())
@@ -758,7 +763,6 @@ mod tests {
                 monitor_depth: Some(4),
                 keep_trace: true,
                 keep_monitor: true,
-                use_planner: false,
             },
             use_sqo: false,
             sqo_chase: ChaseConfig {
@@ -782,6 +786,68 @@ mod tests {
         write_manifest(&dir, &set, &cfg3).unwrap();
         let (_, cfg4) = read_manifest(&dir).unwrap().unwrap();
         assert_eq!(cfg4, cfg3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_with_use_planner_lines_still_opens() {
+        // The format written before `ChaseConfig::use_planner` was removed:
+        // every field of both chase configurations, `use_planner` included.
+        let dir = tempdir("manifest-use-planner");
+        let text = "chase-session v1\n\
+                    chase.mode oblivious\n\
+                    chase.strategy phased 0,2|1\n\
+                    chase.max_steps none\n\
+                    chase.max_nulls 77\n\
+                    chase.monitor_depth 4\n\
+                    chase.keep_trace true\n\
+                    chase.keep_monitor true\n\
+                    chase.use_planner false\n\
+                    use_sqo false\n\
+                    sqo_chase.mode standard\n\
+                    sqo_chase.strategy random 42\n\
+                    sqo_chase.max_steps 123\n\
+                    sqo_chase.max_nulls none\n\
+                    sqo_chase.monitor_depth none\n\
+                    sqo_chase.keep_trace false\n\
+                    sqo_chase.keep_monitor false\n\
+                    sqo_chase.use_planner true\n\
+                    sqo_max_plan_atoms 5\n\
+                    sigma\n\
+                    S(X) -> E(X,Y)\n\
+                    E(X,Y), E(Y,Z) -> E(X,Z)\n";
+        fs::write(dir.join(MANIFEST_FILE), text).unwrap();
+        let (set, cfg) = read_manifest(&dir).unwrap().unwrap();
+        assert_eq!(
+            set,
+            ConstraintSet::parse("S(X) -> E(X,Y); E(X,Y), E(Y,Z) -> E(X,Z)").unwrap()
+        );
+        let expected = SessionConfig {
+            chase: ChaseConfig {
+                mode: ChaseMode::Oblivious,
+                strategy: Strategy::Phased(vec![vec![0, 2], vec![1]]),
+                max_steps: None,
+                max_nulls: Some(77),
+                monitor_depth: Some(4),
+                keep_trace: true,
+                keep_monitor: true,
+            },
+            use_sqo: false,
+            sqo_chase: ChaseConfig {
+                strategy: Strategy::Random { seed: 42 },
+                ..ChaseConfig::with_max_steps(123)
+            },
+            sqo_max_plan_atoms: 5,
+        };
+        assert_eq!(cfg, expected);
+        // The value is still checked, like every other boolean.
+        let bad = text.replace("chase.use_planner false", "chase.use_planner maybe");
+        assert!(parse_manifest(&bad).is_err());
+        // Rewritten in the current format, the manifest drops the lines.
+        write_manifest(&dir, &set, &cfg).unwrap();
+        let rewritten = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+        assert!(!rewritten.contains("use_planner"), "{rewritten}");
+        assert_eq!(read_manifest(&dir).unwrap().unwrap(), (set, expected));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -38,7 +38,7 @@
 //!   Sequences with EGD steps return [`Verdict::ResourceLimit`] ("unknown"),
 //!   and all recognizers treat unknown edges conservatively as present. The
 //!   *final* constraint may be a TGD or an EGD. (Every worked example in the
-//!   paper is TGD-only; see DESIGN.md §4.)
+//!   paper is TGD-only; PAPER.md, "Deviations from the paper", D7.)
 //! * The enumeration is budgeted; exhausting [`PrecedenceConfig`] budgets
 //!   also yields `ResourceLimit`, never a wrong `Fails`.
 
@@ -94,8 +94,9 @@ impl Verdict {
 pub enum ChainVariant {
     /// `≺` (Definition 2): single standard step.
     Standard,
-    /// `≺c` (Definition 4, corrected — see DESIGN.md §4.1): single oblivious
-    /// step, no requirement that the trigger be violated.
+    /// `≺c` (Definition 4, corrected — PAPER.md, "Deviations from the
+    /// paper", D8): single oblivious step, no requirement that the trigger
+    /// be violated.
     Oblivious,
     /// `≺k,P` (Definition 14): k−1 oblivious steps, the null/P condition and
     /// the step-necessity conditions.
@@ -568,7 +569,8 @@ impl<'a> ChainSearch<'a> {
         // the reading of Definition 14's fifth bullet under which Example 15
         // and the Figure 2 constraint land on the paper's claimed hierarchy
         // levels (a strict reading would reject every genuinely chained
-        // witness, collapsing `T[k]` to `T[2]`; see DESIGN.md §4).
+        // witness, collapsing `T[k]` to `T[2]`; PAPER.md, "Deviations from
+        // the paper", D9).
         let run_chain = |skip: Option<usize>| -> Option<Instance> {
             let mut inst = i0.clone();
             for s in 0..self.k - 1 {
@@ -687,7 +689,7 @@ pub fn precedes(set: &ConstraintSet, a: usize, b: usize, cfg: &PrecedenceConfig)
 }
 
 /// `α ≺c β` (Definition 4, corrected to use a genuinely oblivious step — see
-/// DESIGN.md §4.1 and Example 7).
+/// PAPER.md, "Deviations from the paper", D8, and Example 7).
 ///
 /// # Examples
 ///

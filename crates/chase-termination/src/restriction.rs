@@ -28,7 +28,7 @@ use std::fmt;
 /// Head positions holding a constant are *not* included: a constant
 /// position cannot receive a null from this head (the definition's "for
 /// every universally quantified variable x in π" is read as requiring a
-/// variable; see DESIGN.md §4).
+/// variable; PAPER.md, "Deviations from the paper", D6).
 pub fn aff_cl(tgd: &Tgd, p: &PosSet) -> PosSet {
     let mut out = PosSet::new();
     for &y in tgd.existentials() {

@@ -4,7 +4,7 @@
 //! A set is (c-)stratified when the constraints of every cycle of its
 //! (c-)chase graph are weakly acyclic; following the paper's own algorithms
 //! (Prop. 1, Thm. 2, Figs. 7/8) this is checked per non-trivial strongly
-//! connected component (see DESIGN.md §4.3).
+//! connected component (PAPER.md, "Deviations from the paper", D5).
 //!
 //! The paper's corrected reading of stratification (Theorem 1/2): it does
 //! **not** guarantee termination of every chase sequence (Example 4), but a

@@ -27,7 +27,7 @@ fn main() {
     println!("instance after the Theorem 2 chase: {inst}\n");
     let matcher = Matcher::planned(&sigma, &mut inst);
     for (ci, c) in sigma.enumerate() {
-        let plans = matcher.plans(ci).expect("planner is on");
+        let plans = matcher.plans(ci);
         println!("alpha{}: {c}", ci + 1);
         print!("  body: {}", indent(&plans.body.to_string()));
         if let Some(head) = &plans.head {

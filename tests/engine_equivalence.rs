@@ -176,8 +176,7 @@ fn schedule(set: &chase_core::ConstraintSet) -> Vec<Vec<usize>> {
 }
 
 /// The phased check: naive and delta must replay the same trace under
-/// `phases` — with the join planner on *and* off (planning changes matching
-/// cost and enumeration order, never which trigger is selected).
+/// `phases`.
 fn assert_two_way(
     set: &chase_core::ConstraintSet,
     inst: &chase_core::Instance,
@@ -190,15 +189,9 @@ fn assert_two_way(
         keep_trace: true,
         ..ChaseConfig::default()
     };
-    let mut cfg_off = cfg.clone();
-    cfg_off.use_planner = false;
     let delta = chase(inst, set, &cfg);
     let naive = chase_naive(inst, set, &cfg);
     assert_traces_equal("naive vs delta", &naive, &delta, set, inst)?;
-    let delta_off = chase(inst, set, &cfg_off);
-    assert_traces_equal("planner-off delta vs delta", &delta_off, &delta, set, inst)?;
-    let naive_off = chase_naive(inst, set, &cfg_off);
-    assert_traces_equal("planner-off naive vs delta", &naive_off, &delta, set, inst)?;
     if delta.terminated() {
         prop_assert!(
             hom_equivalent(&delta.instance, &naive.instance),
@@ -492,8 +485,7 @@ fn egd_workloads_agree() {
 }
 
 /// Head-revalidation shapes: delta and naive engines must replay the same
-/// trace round-robin and under a seeded random order, with the planner on
-/// and off. The delta engine answers "which pooled triggers did the new
+/// trace round-robin and under a seeded random order. The delta engine answers "which pooled triggers did the new
 /// atoms satisfy?" from its frontier and head-slot indexes, so each case
 /// pins one shape of head those indexes must handle.
 fn assert_head_case(set: &str, inst: &str) {
@@ -506,19 +498,11 @@ fn assert_head_case(set: &str, inst: &str) {
             keep_trace: true,
             ..ChaseConfig::default()
         };
-        let mut cfg_off = cfg.clone();
-        cfg_off.use_planner = false;
         let delta = chase(&inst, &set, &cfg);
         assert!(delta.terminated(), "{set}: {delta}");
-        let run = |label, a: &chase_engine::ChaseResult| {
-            assert_traces_equal(label, a, &delta, &set, &inst).unwrap_or_else(|e| panic!("{e:?}"))
-        };
-        run("naive vs delta", &chase_naive(&inst, &set, &cfg));
-        run("planner-off delta vs delta", &chase(&inst, &set, &cfg_off));
-        run(
-            "planner-off naive vs delta",
-            &chase_naive(&inst, &set, &cfg_off),
-        );
+        let naive = chase_naive(&inst, &set, &cfg);
+        assert_traces_equal("naive vs delta", &naive, &delta, &set, &inst)
+            .unwrap_or_else(|e| panic!("{e:?}"));
     }
 }
 

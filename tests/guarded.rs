@@ -11,7 +11,8 @@ fn pc() -> PrecedenceConfig {
     PrecedenceConfig::default()
 }
 
-/// The definition-faithful WG ⊊ RG separation witness (DESIGN.md §4.2).
+/// The definition-faithful WG ⊊ RG separation witness (PAPER.md,
+/// "Deviations from the paper", D4).
 fn separation_witness() -> ConstraintSet {
     ConstraintSet::parse(
         "R(X1,X2,X3), S(X2) -> R(X2,Y,X1)\n\
@@ -30,7 +31,8 @@ fn separation_witness_separates_the_classes() {
 #[test]
 fn example19_wg_failure_matches_the_paper() {
     // The paper's WG-side claim about Example 19 holds verbatim; the RG
-    // side depends on the per-constraint f (see DESIGN.md §4.2) and is
+    // side depends on the per-constraint f (PAPER.md, "Deviations from the
+    // paper", D4) and is
     // covered by unit tests in chase-guarded.
     assert!(!is_weakly_guarded(&paper::example19_guarded()));
 }

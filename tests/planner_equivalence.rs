@@ -1,15 +1,18 @@
 //! The planned matcher's core contract: for arbitrary constraint sets and
 //! instances, the `chase-plan` join programs enumerate **exactly** the same
-//! homomorphism multiset as the unplanned backtracking searcher — for full
+//! homomorphism multiset as chase-core's backtracking searcher — for full
 //! body enumeration, semi-naive delta re-matching, head activity checks,
 //! and delta-seeded head revalidation. Plans change cost, never results;
 //! everything the engines' trace equivalence rests on is pinned here at the
-//! matcher level.
+//! matcher level. The searcher side of each comparison is written out
+//! here, directly on `find_all_homs`, `unify_atom` and `exists_extension`.
 
-use chase_core::homomorphism::{find_all_homs, Subst};
+use chase_core::homomorphism::{
+    exists_extension, find_all_homs, find_all_homs_seeded, unify_atom, Subst,
+};
 use chase_core::{Atom, ConstraintSet, Instance, Sym, Term};
 use chase_corpus::random::{random_instance, random_tgds, RandomInstanceConfig, RandomTgdConfig};
-use chase_engine::{head_rests, Matcher};
+use chase_engine::{is_active, Matcher};
 use proptest::prelude::*;
 
 /// Normalized multiset of substitutions (sorted variable bindings, then the
@@ -20,9 +23,9 @@ fn multiset(homs: &[Subst]) -> Vec<Vec<(Sym, Term)>> {
     v
 }
 
-fn collect_body(m: &Matcher, ci: usize, set: &ConstraintSet, inst: &Instance) -> Vec<Subst> {
+fn collect_body(m: &Matcher, ci: usize, inst: &Instance) -> Vec<Subst> {
     let mut out = Vec::new();
-    m.for_each_body_hom(ci, &set[ci], inst, &mut |mu| {
+    m.for_each_body_hom(ci, inst, &mut |mu| {
         out.push(mu.clone());
         false
     });
@@ -44,19 +47,56 @@ fn collect_delta(
     out
 }
 
-/// The whole matcher surface, planned vs unplanned, on one workload.
+/// `atoms` without the atom at slot `j`.
+fn without(atoms: &[Atom], j: usize) -> Vec<Atom> {
+    let mut rest = atoms.to_vec();
+    rest.remove(j);
+    rest
+}
+
+/// The searcher's delta enumeration: each body slot pinned to each delta
+/// atom, the rest of the body completed from there — so a match is
+/// reported once per delta atom seeding it.
+fn searcher_delta(body: &[Atom], inst: &Instance, delta: &[Atom]) -> Vec<Subst> {
+    let mut out = Vec::new();
+    for (j, pattern) in body.iter().enumerate() {
+        for a in delta {
+            if let Some(mu0) = unify_atom(pattern, a, &Subst::new()) {
+                out.extend(find_all_homs_seeded(&without(body, j), inst, &mu0));
+            }
+        }
+    }
+    out
+}
+
+/// The searcher's head revalidation: did some `(slot, fact)` pair of the
+/// delta extend `mu` to a head match?
+fn searcher_newly_satisfied(head: &[Atom], inst: &Instance, delta: &[Atom], mu: &Subst) -> bool {
+    (0..head.len()).any(|j| {
+        delta.iter().any(|a| {
+            unify_atom(&mu.apply_atom(&head[j]), a, &Subst::new()).is_some_and(|nu0| {
+                let mut seed = mu.clone();
+                for (v, term) in nu0.var_bindings() {
+                    seed.bind_var(v, term);
+                }
+                exists_extension(&without(head, j), inst, &seed)
+            })
+        })
+    })
+}
+
+/// The whole matcher surface, planned vs the searcher, on one workload.
 fn assert_matchers_agree(
     set: &ConstraintSet,
     inst: &mut Instance,
     delta_len: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let planned = Matcher::planned(set, inst);
-    let unplanned = Matcher::unplanned();
     let delta: Vec<Atom> = inst.atoms().iter().take(delta_len).cloned().collect();
     for (ci, c) in set.enumerate() {
         // Full-body enumeration: same multiset as the classic searcher.
-        let p = collect_body(&planned, ci, set, inst);
-        let u = collect_body(&unplanned, ci, set, inst);
+        let p = collect_body(&planned, ci, inst);
+        let u = find_all_homs(c.body(), inst);
         prop_assert_eq!(
             multiset(&p),
             multiset(&u),
@@ -74,7 +114,7 @@ fn assert_matchers_agree(
         // Delta re-matching: same multiset (per-delta-atom multiplicity
         // included — both report a match once per delta atom seeding it).
         let pd = collect_delta(&planned, ci, set, inst, &delta);
-        let ud = collect_delta(&unplanned, ci, set, inst, &delta);
+        let ud = searcher_delta(c.body(), inst, &delta);
         prop_assert_eq!(
             multiset(&pd),
             multiset(&ud),
@@ -87,18 +127,17 @@ fn assert_matchers_agree(
         // Head checks: activity and delta-seeded revalidation agree hom by
         // hom.
         let Some(t) = c.as_tgd() else { continue };
-        let rests = head_rests(t.head());
         for mu in &u {
             prop_assert_eq!(
                 planned.is_active(ci, c, inst, mu),
-                unplanned.is_active(ci, c, inst, mu),
+                is_active(c, inst, mu),
                 "activity differs for constraint {} under {}",
                 ci,
                 mu
             );
             prop_assert_eq!(
-                planned.head_newly_satisfied(ci, t.head(), &rests, inst, &delta, mu),
-                unplanned.head_newly_satisfied(ci, t.head(), &rests, inst, &delta, mu),
+                planned.head_newly_satisfied(ci, t.head(), inst, &delta, mu),
+                searcher_newly_satisfied(t.head(), inst, &delta, mu),
                 "head revalidation differs for constraint {} under {}",
                 ci,
                 mu
@@ -205,7 +244,7 @@ fn refresh_keeps_equivalence_across_epochs() {
             inst.insert(Atom::new("S", vec![Term::constant(&format!("v{i}"))]));
         }
         planned.refresh(&set, &mut inst);
-        let p = collect_body(&planned, 0, &set, &inst);
+        let p = collect_body(&planned, 0, &inst);
         assert_eq!(
             multiset(&p),
             multiset(&find_all_homs(set[0].body(), &inst)),

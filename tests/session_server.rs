@@ -320,10 +320,10 @@ fn normalized(mut answers: Vec<Vec<Term>>) -> Vec<Vec<Term>> {
     answers
 }
 
-/// A query answered while an apply is chasing inside the actor sees
-/// exactly the pre-batch snapshot; after the apply's acknowledgement, the
-/// post-batch instance (read-your-writes). Nothing in between is ever
-/// observable — under either scheduler.
+/// A query answered while a pool worker is still chasing an apply it
+/// dispatched sees exactly the pre-batch snapshot; after the apply's
+/// acknowledgement, the post-batch instance (read-your-writes). Nothing in
+/// between is ever observable — under either pool shape.
 #[test]
 fn query_mid_apply_sees_exactly_the_pre_batch_snapshot() {
     for (mode, cfg) in scheduler_modes() {
@@ -357,8 +357,9 @@ fn query_mid_apply_in(cfg: ConductorConfig) {
     }
     let pending = h.apply_async(atoms(&batch));
 
-    // Issued immediately after enqueueing: the actor is (at most) mid-way
-    // through the batch, and the published snapshot is still pre-batch.
+    // Issued immediately after enqueueing: the worker that dispatched the
+    // apply is (at most) mid-way through the batch, and the published
+    // snapshot is still pre-batch.
     let mid = normalized(h.query(&q, QueryOpts::default()).unwrap());
     assert_eq!(
         mid, pre,

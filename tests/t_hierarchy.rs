@@ -18,8 +18,9 @@ fn fig2_sits_exactly_at_t3() {
 
 #[test]
 fn family_levels_track_arity() {
-    // The arity-n member sits in T[n+1] \ T[n] (DESIGN.md §4.3: the paper's
-    // Figure 2 anchor; Example 15's prose is off by one against it).
+    // The arity-n member sits in T[n+1] \ T[n] (PAPER.md, "Deviations from
+    // the paper", D10: the paper's Figure 2 anchor; Example 15's prose is
+    // off by one against it).
     for arity in 2..=4 {
         let s = paper::sigma_family(arity);
         let (level, indefinite) = t_level(&s, arity + 2, &cfg());
